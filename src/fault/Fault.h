@@ -65,7 +65,7 @@ struct FaultPlanConfig {
   uint32_t TraceCorruptRatePerMyriad = 0;
   /// When nonzero, detectors run under this state-entry budget and must
   /// degrade gracefully instead of growing without bound (wired through
-  /// detect::DetectorConfig::MaxStateEntries by the caller).
+  /// detect::StateBudget::MaxStateEntries by the caller).
   uint64_t DetectorEntryBudget = 0;
 
   /// --- Ingestion-stage faults (serve/Frame.h) -------------------------

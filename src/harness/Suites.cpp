@@ -21,7 +21,6 @@
 #include "support/StringUtils.h"
 #include "svd/OnlineSvd.h"
 #include "trace/Trace.h"
-#include "vm/Translate.h"
 
 #include <algorithm>
 #include <chrono>
@@ -212,11 +211,6 @@ struct PerfRow {
   /// Bare engine rate: the same execution with no observer attached
   /// (the detector-overhead denominator). Advisory like InstsPerSec.
   double VmInstsPerSec = 0.0;
-  /// Translated-mode twins (zero unless measured with Translate): the
-  /// same workload through the decode-once cache with the static hints
-  /// folded into the micro-ops and the detector trusting them.
-  double XlInstsPerSec = 0.0;
-  double XlVmInstsPerSec = 0.0;
 
   double prunedPct() const {
     return Events == 0 ? 0.0
@@ -242,7 +236,7 @@ double bareInstsPerSec(const isa::Program &P, const vm::MachineConfig &MC) {
   return Best;
 }
 
-PerfRow measurePerfRow(const Workload &W, bool Translate) {
+PerfRow measurePerfRow(const Workload &W) {
   analysis::AccessTable Table = analysis::buildAccessTable(W.Program);
   analysis::CuProofs Proofs = analysis::proveAtomicCus(W.Program);
   SampleConfig C;
@@ -269,42 +263,6 @@ PerfRow measurePerfRow(const Workload &W, bool Translate) {
       Seconds <= 0.0 ? 0.0 : static_cast<double>(R.Steps) / Seconds;
   R.VmInstsPerSec = bareInstsPerSec(W.Program, MC);
 
-  if (Translate) {
-    // One shared cache with the static classifications folded into the
-    // micro-op hint bytes; the detector opts into trusting them. The
-    // deterministic outputs must agree with the interpreter run above —
-    // a mismatch is an engine bug, not measurement noise.
-    vm::TransCache Hinted(
-        W.Program, [&](isa::ThreadId Tid, uint32_t Pc) {
-          uint8_t H = vm::HintClassified;
-          if (Table.classify(Tid, Pc) == analysis::AccessClass::ThreadLocal)
-            H |= vm::HintFilteredLocal;
-          if (Proofs.provenAt(Tid, Pc))
-            H |= vm::HintProvenCu;
-          return H;
-        });
-    vm::MachineConfig XMC = MC;
-    XMC.Translate = true;
-    XMC.Cache = &Hinted;
-    detect::OnlineSvdConfig XSC = SC;
-    XSC.TrustStaticHints = true;
-    vm::Machine XM(W.Program, XMC);
-    detect::OnlineSvd XSvd(W.Program, XSC);
-    XM.addObserver(&XSvd);
-    auto X0 = std::chrono::steady_clock::now();
-    XM.run();
-    double XSeconds = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - X0)
-                          .count();
-    if (XM.steps() != R.Steps || XSvd.eventsObserved() != R.Events ||
-        XSvd.prunedAccesses() != R.PrunedEvents ||
-        XSvd.filteredAccesses() != R.FilteredEvents)
-      support::fatalError("translated perf run diverged from the "
-                          "interpreter on workload '" + W.Name + "'");
-    R.XlInstsPerSec =
-        XSeconds <= 0.0 ? 0.0 : static_cast<double>(R.Steps) / XSeconds;
-    R.XlVmInstsPerSec = bareInstsPerSec(W.Program, XMC);
-  }
   return R;
 }
 
@@ -317,7 +275,6 @@ int runTable1(const SuiteOptions &O) {
     S.Workload = &W;
     S.Detector = "none";
     S.Config.Seed = 1;
-    S.Config.Translate = O.Translate;
     Specs.push_back(S);
   }
   std::vector<SampleMetrics> Ms = ParallelRunner(runnerConfig(O)).run(Specs);
@@ -327,7 +284,7 @@ int runTable1(const SuiteOptions &O) {
   std::vector<PerfRow> Perf;
   if (O.Perf)
     for (const Workload &W : Ws)
-      Perf.push_back(measurePerfRow(W, O.Translate));
+      Perf.push_back(measurePerfRow(W));
 
   if (O.Json) {
     std::string J = "{\"suite\":\"table1\",\"rows\":[";
@@ -353,11 +310,6 @@ int runTable1(const SuiteOptions &O) {
             static_cast<unsigned long long>(R.PrunedEvents),
             static_cast<unsigned long long>(R.FilteredEvents), R.ProvenCus,
             R.prunedPct(), R.InstsPerSec, R.VmInstsPerSec);
-        if (O.Translate)
-          J += formatString(
-              ",\"translate_insts_per_sec\":%.0f,"
-              "\"translate_vm_insts_per_sec\":%.0f",
-              R.XlInstsPerSec, R.XlVmInstsPerSec);
       }
       J += "}";
     }
@@ -381,18 +333,11 @@ int runTable1(const SuiteOptions &O) {
 
   if (O.Perf) {
     std::puts("\n== Table 1 perf: OnlineSvd with static proofs (seed 1) ==\n");
-    std::vector<std::string> Headers = {"Name",       "Events",
-                                        "Pruned",     "Filtered",
-                                        "Proven CUs", "Pruned %",
-                                        "Insts/s",    "Insts/s (vm)"};
-    if (O.Translate) {
-      Headers.push_back("xl Insts/s");
-      Headers.push_back("xl Insts/s (vm)");
-    }
-    TextTable PT(Headers);
+    TextTable PT({"Name", "Events", "Pruned", "Filtered", "Proven CUs",
+                  "Pruned %", "Insts/s", "Insts/s (vm)"});
     for (size_t I = 0; I < Ws.size(); ++I) {
       const PerfRow &R = Perf[I];
-      std::vector<std::string> Row = {
+      PT.addRow({
           Ws[I].Name,
           formatString("%llu", static_cast<unsigned long long>(R.Events)),
           formatString("%llu",
@@ -402,12 +347,7 @@ int runTable1(const SuiteOptions &O) {
           formatString("%zu", R.ProvenCus),
           formatString("%.2f", R.prunedPct()),
           formatString("%.0f", R.InstsPerSec),
-          formatString("%.0f", R.VmInstsPerSec)};
-      if (O.Translate) {
-        Row.push_back(formatString("%.0f", R.XlInstsPerSec));
-        Row.push_back(formatString("%.0f", R.XlVmInstsPerSec));
-      }
-      PT.addRow(Row);
+          formatString("%.0f", R.VmInstsPerSec)});
     }
     std::fputs(PT.render().c_str(), stdout);
   }
@@ -509,8 +449,6 @@ int runTable2(const SuiteOptions &O) {
       SampleSpec S;
       S.Workload = &W;
       S.Config.Seed = Seed;
-    S.Config.Translate = O.Translate;
-      S.Config.Translate = O.Translate;
       S.Config.MinTimeslice = 1;
       S.Config.MaxTimeslice = 4;
       S.Detector = "svd";
@@ -580,8 +518,6 @@ int runSec73(const SuiteOptions &O) {
       SampleSpec S;
       S.Workload = &W;
       S.Config.Seed = Seed;
-    S.Config.Translate = O.Translate;
-      S.Config.Translate = O.Translate;
       S.Config.MinTimeslice = 1;
       S.Config.MaxTimeslice = 4;
       S.Detector = "svd";
@@ -668,7 +604,6 @@ int runFig1(const SuiteOptions &O) {
     SampleSpec S;
     S.Workload = &W;
     S.Config.Seed = Seed;
-    S.Config.Translate = O.Translate;
     S.Detector = "svd";
     Specs.push_back(S);
     S.Detector = "frd";
@@ -742,8 +677,6 @@ int runInterproc(const SuiteOptions &O) {
       SampleSpec S;
       S.Workload = &W;
       S.Config.Seed = Seed;
-    S.Config.Translate = O.Translate;
-      S.Config.Translate = O.Translate;
       S.Config.MinTimeslice = 1;
       S.Config.MaxTimeslice = 4;
       S.Detector = "svd";
@@ -925,7 +858,6 @@ int runShadow(const SuiteOptions &O) {
     Spec.Workload = &S.W;
     Spec.Detector = "none";
     Spec.Config.Seed = 1;
-    Spec.Config.Translate = O.Translate;
     SampleSpecs.push_back(Spec);
   }
   std::vector<SampleMetrics> Ms =

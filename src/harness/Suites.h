@@ -48,12 +48,6 @@ struct SuiteOptions {
   /// exactly against the committed BENCH_table1.json baseline and
   /// treats the wall-clock rate as advisory).
   bool Perf = false;
-  /// Run every execution sample (and the --perf measurements) through
-  /// the decode-once translation cache (vm/Translate.h). Deterministic
-  /// outputs are bit-identical to interpreter runs by contract; the
-  /// perf section additionally reports the translated instruction
-  /// rates next to the interpreter's.
-  bool Translate = false;
   /// Observability sink for the sample fan-out (svd-bench
   /// --metrics-json); counters are bit-identical at any Jobs. Not owned.
   obs::Registry *Obs = nullptr;

@@ -383,41 +383,3 @@ uint32_t ThreadCfg::skipperReconvergence(uint32_t BranchPc) const {
   }
   return Target;
 }
-
-ThreadBlocks isa::discoverBasicBlocks(const std::vector<Instruction> &Code) {
-  ThreadBlocks TB;
-  uint32_t N = static_cast<uint32_t>(Code.size());
-  if (N == 0)
-    return TB;
-
-  // Mark leaders: entry, explicit targets, and fall-throughs of control
-  // transfers. Validation guarantees every target is in range.
-  std::vector<bool> Leader(N, false);
-  Leader[0] = true;
-  for (uint32_t Pc = 0; Pc < N; ++Pc) {
-    const Instruction &I = Code[Pc];
-    if (!isControlFlow(I.Op))
-      continue;
-    if (Pc + 1 < N)
-      Leader[Pc + 1] = true;
-    switch (I.Op) {
-    case Opcode::Beqz:
-    case Opcode::Bnez:
-    case Opcode::Jmp:
-    case Opcode::Call:
-      Leader[static_cast<uint32_t>(I.Imm)] = true;
-      break;
-    default: // Ret and Halt transfer control but name no static target.
-      break;
-    }
-  }
-
-  TB.BlockOf.resize(N);
-  for (uint32_t Pc = 0; Pc < N; ++Pc) {
-    if (Leader[Pc])
-      TB.Blocks.push_back({Pc, 0});
-    ++TB.Blocks.back().NumInstrs;
-    TB.BlockOf[Pc] = static_cast<uint32_t>(TB.Blocks.size() - 1);
-  }
-  return TB;
-}

@@ -109,35 +109,6 @@ private:
   void computePostDominators();
 };
 
-/// One execution basic block: a maximal straight-line run of
-/// instructions [StartPc, StartPc + NumInstrs). Control enters only at
-/// StartPc (when entered from the top — mid-block resumption after a
-/// blocking Lock or a checkpoint restore is the executor's business) and
-/// leaves only after the last instruction.
-struct BasicBlock {
-  uint32_t StartPc = 0;
-  uint32_t NumInstrs = 0;
-};
-
-/// Partition of one thread's code into execution basic blocks, the unit
-/// the translation-cached engine (vm/Translate.h) decodes once.
-struct ThreadBlocks {
-  /// Blocks ascending by StartPc; together they cover every pc exactly
-  /// once.
-  std::vector<BasicBlock> Blocks;
-  /// BlockOf[Pc] is the index into Blocks of the block containing Pc.
-  std::vector<uint32_t> BlockOf;
-};
-
-/// Discovers the execution basic blocks of \p Code (which must have
-/// passed Program::validate()). Leaders are pc 0, every explicit branch
-/// or call target, and the pc after every control-transfer instruction
-/// (a Ret or Halt ends a block; its successor, if any, starts one since
-/// it can only be reached as a target or fall-through of other control
-/// flow). Unlike ThreadCfg this is the *physical* control flow the
-/// executor follows: a Call transfers to its callee, never to Pc + 1.
-ThreadBlocks discoverBasicBlocks(const std::vector<Instruction> &Code);
-
 /// Partition of one thread's code into its main body (region 0) and one
 /// region per proc, derived purely from Call targets (see ThreadCfg).
 /// Flat code has exactly one region.

@@ -54,7 +54,7 @@ struct HappensBeforeDetectorConfig final : detect::DetectorConfig {
   explicit HappensBeforeDetectorConfig(HappensBeforeConfig C) : Hb(C) {}
   const char *detectorName() const override { return "frd"; }
   std::unique_ptr<detect::DetectorConfig> clone() const override {
-    // Copy-construct so base fields (MaxStateEntries) survive cloning.
+    // Copy-construct so base fields (Budget) survive cloning.
     return std::make_unique<HappensBeforeDetectorConfig>(*this);
   }
 };

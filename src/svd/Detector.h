@@ -99,20 +99,6 @@ public:
 
   /// The shared state knobs every shadow-backed detector consumes.
   StateBudget Budget;
-
-  /// Deprecated alias of Budget.MaxStateEntries, kept so existing CLI
-  /// plumbing and goldens (svd-chaos --budget) keep working. Consumed
-  /// only when Budget.MaxStateEntries is unset; see effectiveBudget().
-  uint64_t MaxStateEntries = 0;
-
-  /// Budget with the deprecated aliases folded in: the new Budget
-  /// fields win when set, the legacy flat fields backfill otherwise.
-  StateBudget effectiveBudget() const {
-    StateBudget B = Budget;
-    if (B.MaxStateEntries == 0)
-      B.MaxStateEntries = MaxStateEntries;
-    return B;
-  }
 };
 
 /// Degradation status of one detector instance (valid after finish()).

@@ -81,10 +81,9 @@ void detect::registerHardwareSvdDetector(DetectorRegistry &R) {
            const auto *C = configAs<HardwareSvdDetectorConfig>(Cfg, "hwsvd");
            HardwareSvdConfig HC = C ? C->Hw : HardwareSvdConfig();
            if (C) {
-             // Fold the shared StateBudget (and its deprecated flat
-             // aliases) into the detector-native knobs; detector-level
-             // fields win when explicitly set.
-             StateBudget B = C->effectiveBudget();
+             // Fold the shared StateBudget into the detector-native
+             // knobs; detector-level fields win when explicitly set.
+             const StateBudget &B = C->Budget;
              if (B.MaxStateEntries != 0 && HC.MaxCuEntries == 0)
                HC.MaxCuEntries = B.MaxStateEntries;
              if (B.Access && !HC.Access)

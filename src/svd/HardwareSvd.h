@@ -81,7 +81,7 @@ struct HardwareSvdConfig {
   /// structure is finite in real hardware); 0 means unbounded. Over
   /// budget, the oldest live CU is deterministically ended before a
   /// new one forms and the detector marks itself degraded. Populated
-  /// from DetectorConfig::MaxStateEntries by the registry factory.
+  /// from DetectorConfig::Budget by the registry factory.
   uint64_t MaxCuEntries = 0;
   /// Eagerly-allocated dense per-line shadow pages instead of the
   /// sparse materialize-on-touch tables (see OnlineSvdConfig's twin
@@ -98,7 +98,7 @@ struct HardwareSvdDetectorConfig final : DetectorConfig {
   explicit HardwareSvdDetectorConfig(HardwareSvdConfig C) : Hw(C) {}
   const char *detectorName() const override { return "hwsvd"; }
   std::unique_ptr<DetectorConfig> clone() const override {
-    // Copy-construct so base fields (MaxStateEntries) survive cloning.
+    // Copy-construct so base fields (Budget) survive cloning.
     return std::make_unique<HardwareSvdDetectorConfig>(*this);
   }
 };

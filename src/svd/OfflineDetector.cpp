@@ -90,7 +90,7 @@ void detect::registerOfflineDetector(DetectorRegistry &R) {
          [](const isa::Program &P, const DetectorConfig *Cfg) {
            const auto *C = configAs<OfflineDetectorConfig>(Cfg, "offline");
            return std::make_unique<OfflineSvdDetector>(
-               P, C ? C->MaxStateEntries : 0);
+               P, C ? C->Budget.MaxStateEntries : 0);
          }});
 }
 

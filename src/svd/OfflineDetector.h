@@ -29,7 +29,7 @@ namespace svd {
 namespace detect {
 
 /// Opaque registry config for the offline pipeline (registry key
-/// "offline"). The only tunable is the inherited MaxStateEntries,
+/// "offline"). The only tunable is the inherited Budget.MaxStateEntries,
 /// which caps the recorded trace: once full, later events are dropped
 /// (leaving a valid prefix) and the detector reports itself degraded.
 struct OfflineDetectorConfig final : DetectorConfig {

@@ -76,10 +76,9 @@ void detect::registerOnlineSvdDetector(DetectorRegistry &R) {
            const auto *C = configAs<OnlineSvdDetectorConfig>(Cfg, "svd");
            OnlineSvdConfig SC = C ? C->Svd : OnlineSvdConfig();
            if (C) {
-             // Fold the shared StateBudget (and its deprecated flat
-             // aliases) into the detector-native knobs; detector-level
-             // fields win when explicitly set.
-             StateBudget B = C->effectiveBudget();
+             // Fold the shared StateBudget into the detector-native
+             // knobs; detector-level fields win when explicitly set.
+             const StateBudget &B = C->Budget;
              if (B.MaxStateEntries != 0 && SC.MaxCuEntries == 0)
                SC.MaxCuEntries = B.MaxStateEntries;
              if (B.Access && !SC.Access)

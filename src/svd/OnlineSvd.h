@@ -47,7 +47,6 @@
 #include "svd/Detector.h"
 #include "svd/Report.h"
 #include "vm/Observer.h"
-#include "vm/Translate.h"
 
 #include <array>
 #include <cstdint>
@@ -118,7 +117,7 @@ struct OnlineSvdConfig {
   /// before a new one is created, and the detector marks itself
   /// degraded — bounded-memory operation at the price of possibly
   /// missing violations whose CU was evicted. Populated from
-  /// DetectorConfig::MaxStateEntries by the registry factory.
+  /// DetectorConfig::Budget by the registry factory.
   uint64_t MaxCuEntries = 0;
 
   /// Keep per-block state in eagerly-allocated dense shadow pages (the
@@ -137,16 +136,6 @@ struct OnlineSvdConfig {
   /// one state lane, the approximation error bench/migration_study
   /// quantifies.
   uint32_t NumCpus = 0;
-
-  /// Adopt the pre-resolved EventCtx::StaticHint bits stamped by the
-  /// translated engine (vm/Translate.h) in place of the per-event
-  /// Access / Proofs lookups. Setting this is the caller's promise that
-  /// the machine's TransCache hints were folded from the very same
-  /// Access and Proofs tables configured above; the harness perf path
-  /// upholds it by building both from one analysis pass. Events without
-  /// HintClassified — interpreter steps, single-step fallbacks — still
-  /// take the table lookups, so mixed streams classify identically.
-  bool TrustStaticHints = false;
 };
 
 /// Opaque registry config carrying an OnlineSvdConfig (registry key
@@ -158,7 +147,7 @@ struct OnlineSvdDetectorConfig final : DetectorConfig {
   explicit OnlineSvdDetectorConfig(OnlineSvdConfig C) : Svd(C) {}
   const char *detectorName() const override { return "svd"; }
   std::unique_ptr<DetectorConfig> clone() const override {
-    // Copy-construct so base fields (MaxStateEntries) survive cloning.
+    // Copy-construct so base fields (Budget) survive cloning.
     return std::make_unique<OnlineSvdDetectorConfig>(*this);
   }
 };
@@ -299,24 +288,19 @@ private:
   BlockId blockOf(isa::Addr A) const { return A >> Cfg.BlockShift; }
 
   /// True when the static table proves (\p Ctx's) access thread-local
-  /// and filtering is active. A trusted translated-engine hint resolves
-  /// the classification with zero lookups (folded at translation time).
+  /// and filtering is active.
   bool isFilteredLocal(const vm::EventCtx &Ctx) const {
     if (!FilterActive)
       return false;
-    if (Cfg.TrustStaticHints && (Ctx.StaticHint & vm::HintClassified))
-      return (Ctx.StaticHint & vm::HintFilteredLocal) != 0;
     return Cfg.Access->classify(Ctx.Tid, Ctx.Pc) ==
            analysis::AccessClass::ThreadLocal;
   }
 
   /// True when (\p Ctx's) access sits in a ProvenAtomic unit and proof
-  /// pruning is active; trusted hints short-circuit as above.
+  /// pruning is active.
   bool isProvenCu(const vm::EventCtx &Ctx) const {
     if (!PruneActive)
       return false;
-    if (Cfg.TrustStaticHints && (Ctx.StaticHint & vm::HintClassified))
-      return (Ctx.StaticHint & vm::HintProvenCu) != 0;
     return Cfg.Proofs->provenAt(Ctx.Tid, Ctx.Pc);
   }
 

@@ -7,7 +7,7 @@
 /// \file
 /// The Machine's consultation surface for deterministic fault injection
 /// (src/fault). A hook set attached via MachineConfig::Faults is asked,
-/// at well-defined points of the interpreter loop, whether to perturb
+/// at well-defined points of the machine's step loop, whether to perturb
 /// execution:
 ///
 ///  * \c stallThread   — burn the scheduled step without executing the

@@ -1,4 +1,4 @@
-//===- vm/Machine.h - Multithreaded interpreter ------------------*- C++ -*-===//
+//===- vm/Machine.h - Multithreaded virtual machine --------------*- C++ -*-===//
 //
 // Part of the SVD reproduction of Xu, Bodik & Hill, PLDI 2005.
 //
@@ -6,8 +6,9 @@
 ///
 /// \file
 /// The execution substrate replacing the paper's Simics/SPARC setup: a
-/// deterministic multithreaded interpreter for the mini ISA. Key
-/// properties mirrored from the paper's methodology (Section 6.1):
+/// deterministic multithreaded virtual machine for the mini ISA, executing
+/// decode-once micro-ops (vm/Translate.h). Key properties mirrored from
+/// the paper's methodology (Section 6.1):
 ///
 ///  * **Deterministic replay.** The interleaving is a pure function of the
 ///    scheduler seed; replaying a seed (or an explicitly recorded
@@ -42,6 +43,7 @@ class Registry;
 namespace vm {
 
 class TransCache;
+struct MicroOp;
 
 /// Why a run loop stopped.
 enum class StopReason : uint8_t {
@@ -87,20 +89,18 @@ struct MachineConfig {
   /// pure functions of their arguments, so checkpoint/restore replays
   /// re-inject identical faults.
   const FaultHooks *Faults = nullptr;
-  /// Execute run() through the decode-once translation cache
-  /// (vm/Translate.h, DESIGN.md section 16) instead of the per-step
-  /// decode switch. Semantics are bit-identical to the interpreter —
-  /// same schedule, events, counters, and checkpoints — only faster.
+  /// Ignored: every machine executes from a translation cache (see
+  /// Cache). Still declared only because perfbench/driver/Layers.cpp
+  /// sets it; it is removed together with that line.
   bool Translate = false;
   /// Optional pre-built translation cache to execute from (not owned;
   /// must be built over the same Program and outlive the machine).
-  /// Null with Translate set makes the machine build its own. Sharing
-  /// one cache lets the harness fold static-analysis hints in once and
-  /// reuse the decoded blocks across seeds.
+  /// Null makes the machine build and own one. Sharing one cache
+  /// reuses the decoded code across machines over one program.
   const TransCache *Cache = nullptr;
 };
 
-/// Always-on execution counters, maintained by the interpreter at event
+/// Always-on execution counters, maintained by the machine at event
 /// granularity (plain field increments on paths that already branch per
 /// opcode, so the cost is noise). All values are deterministic: they
 /// are pure functions of (program, MachineConfig), independent of
@@ -171,7 +171,7 @@ struct Checkpoint {
   bool Replaying = false;
 };
 
-/// The interpreter.
+/// The virtual machine.
 class Machine {
 public:
   /// Creates a machine over \p P (which must outlive the machine).
@@ -287,21 +287,24 @@ private:
 
   /// Picks the next thread to run; returns false on deadlock/completion.
   bool scheduleNext(StopReason &WhyStopped);
-  /// Executes one instruction of Threads[CurThread].
+  /// Executes one instruction of Threads[CurThread] as a one-op burst,
+  /// recording the schedule entry and the step (stepOnce, stepThread).
   void execute();
-  /// run() body when executing through the translation cache
-  /// (vm/DispatchLoop.cpp). Bit-identical to the stepOnce() loop.
-  StopReason runTranslated();
-  /// Executes up to \p Budget translated micro-ops of CurThread, stopping
-  /// early when the thread leaves the Ready state. Returns the number of
-  /// steps executed. Compiled twice: the HasObs = false instantiation
-  /// drops every observer fan-out at compile time, so bare machines (the
+  /// run() body (vm/DispatchLoop.cpp): whole timeslices as bursts, with
+  /// the same scheduling decisions as a stepOnce() loop.
+  StopReason runBursts();
+  /// Executes up to \p Budget micro-ops of CurThread, stopping early when
+  /// the thread leaves the Ready state. Returns the number of steps
+  /// executed. Compiled twice: the HasObs = false instantiation drops
+  /// every observer fan-out at compile time, so bare machines (the
   /// harness's overhead baseline) pay nothing for observability.
   template <bool HasObs> uint64_t executeBurst(uint64_t Budget);
+  /// Executes micro-op \p U of CurThread, whose state is \p T: the one
+  /// definition of instruction semantics, shared by executeBurst() and
+  /// execute(). Does not advance Steps.
+  template <bool HasObs> void execOp(Thread &T, const MicroOp &U);
   void recordError(const EventCtx &Ctx, const std::string &Msg);
   void haltThread(const EventCtx &Ctx);
-  EventCtx makeCtx(isa::ThreadId Tid, uint32_t Pc,
-                   const isa::Instruction &I) const;
   /// Fans an event out to every registered observer via the member
   /// cursor, so removeObserver() from inside a callback (an observer
   /// detaching itself, as BER does on violation) cannot skip a sibling
@@ -343,11 +346,10 @@ private:
   /// dispatch); removeObserver() adjusts it so in-callback removal of
   /// any observer keeps the fan-out loop consistent.
   ptrdiff_t NotifyCursor = -1;
-  /// Translation-cache execution state (null unless Cfg.Translate).
+  /// The decoded code every path executes: Cfg.Cache, or OwnedCache.
   const TransCache *TC = nullptr;
   std::unique_ptr<TransCache> OwnedCache;
-  /// Reused ready-list buffer of the translated scheduling loop.
-  /// Ready-thread ids in ascending order, reused across the translated
+  /// Ready-thread ids in ascending order, reused across the burst
   /// loop's scheduling decisions. Valid only while ReadyStale is false;
   /// every path that changes any thread's state (or runs code that
   /// might — the single-step fallbacks) marks it stale and the next

@@ -40,13 +40,6 @@ struct EventCtx {
   uint32_t Pc = 0;
   /// The executed static instruction.
   const isa::Instruction *Instr = nullptr;
-  /// Pre-resolved static-analysis bits (vm/Translate.h StaticHintBits),
-  /// stamped per micro-op by the translated engine; always 0 from the
-  /// interpreter. Purely advisory: a detector may use them to skip its
-  /// own per-event classification lookups, but only when its caller
-  /// vouches that the hints were folded from the very same analysis
-  /// results the detector was configured with.
-  uint8_t StaticHint = 0;
 };
 
 /// Receives the dynamic event stream of an execution. All callbacks have

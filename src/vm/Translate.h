@@ -5,15 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The decode-once execution engine's data model (DESIGN.md section 16).
-/// The interpreter pays the full fetch/decode switch on every dynamic
-/// instruction — the per-event-cost bottleneck the paper inherited from
-/// whole-system simulation. The translation cache decodes each basic
-/// block exactly once into a pre-resolved micro-op array (operands as
-/// plain register indices, branch targets as block handles, static
-/// analysis results as per-op hint bits) and the dispatch loop
-/// (vm/DispatchLoop.cpp) then executes whole timeslices as block-chained
-/// bursts. The cache is immutable after construction: programs cannot be
+/// The execution engine's instruction representation (DESIGN.md section
+/// 16). Every thread's code is decoded exactly once into a flat micro-op
+/// array — operands as plain register indices next to each other — and
+/// the machine executes nothing else: the burst loop and every
+/// single-step path index the array by pc (vm/DispatchLoop.cpp). The
+/// cache is immutable after construction: programs cannot be
 /// self-modifying, so there is no invalidation, and one cache can be
 /// shared read-only by any number of machines over the same program.
 ///
@@ -26,96 +23,44 @@
 #include "isa/Program.h"
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace svd {
 namespace vm {
 
-/// Bits of EventCtx::StaticHint, pre-resolved per micro-op when the
-/// cache is built with a classifier. The interpreter never sets them;
-/// detectors may only trust them under the caller contract documented
-/// on EventCtx::StaticHint.
-enum StaticHintBits : uint8_t {
-  /// The hint byte was populated by a classifier; without this bit the
-  /// remaining bits are meaningless and must be ignored.
-  HintClassified = 1u << 0,
-  /// The static access classification (analysis/AccessTable.h) proved
-  /// this instruction's accesses thread-local, i.e. the detector's
-  /// ThreadLocal filter would discard the event.
-  HintFilteredLocal = 1u << 1,
-  /// Static CU atomicity proofs (svd/CuProofs.h) cover this pc, i.e. the
-  /// detector's prove-and-prune fast path applies.
-  HintProvenCu = 1u << 2,
-};
-
-/// Supplies the full hint byte for (thread, pc) at translation time.
-/// The harness composes one from the same AccessTable / CuProofs the
-/// detector is configured with; vm stays independent of the analysis
-/// layer by taking the result as an opaque byte.
-using StaticHintFn = std::function<uint8_t(isa::ThreadId, uint32_t)>;
-
 /// One decoded micro-op: the instruction's fields flattened next to each
-/// other with the per-op static hint and a pointer back to the static
-/// instruction (events expose it). Micro-ops are 1:1 with pcs, so the
-/// op at pc P lives at index P of the thread's flat array.
+/// other plus a pointer back to the static instruction (events expose
+/// it). Micro-ops are 1:1 with pcs, so the op at pc P lives at index P
+/// of the thread's array and execution can resume at any pc — after a
+/// blocking Lock, a restored checkpoint, or a stepped prefix.
 struct MicroOp {
   isa::Opcode Op = isa::Opcode::Nop;
-  uint8_t Hints = 0;
   isa::Reg Rd = 0;
   isa::Reg Ra = 0;
   isa::Reg Rb = 0;
-  uint32_t Pc = 0;
   isa::Word Imm = 0;
   const isa::Instruction *Instr = nullptr;
 };
 
-/// One translated basic block: a pc range plus chain handles resolving
-/// its control-flow edges to other blocks, so the dispatch loop follows
-/// taken branches and fall-throughs without consulting the pc map.
-struct TransBlock {
-  uint32_t StartPc = 0;
-  uint32_t NumOps = 0;
-  /// Static target of the block's terminator (Beqz/Bnez/Jmp/Call);
-  /// UINT32_MAX when the terminator has none (Ret, Halt) or the block
-  /// ends by falling into the next leader.
-  uint32_t TakenPc = UINT32_MAX;
-  /// Block index of TakenPc; -1 when TakenPc is UINT32_MAX.
-  int32_t TakenBlock = -1;
-  /// Block index at StartPc + NumOps; -1 at the end of the code.
-  int32_t FallBlock = -1;
-};
-
 /// Immutable per-program translation cache: every thread's code decoded
-/// into micro-ops and chained basic blocks, keyed by pc. Eagerly built —
-/// the mini-ISA programs are small enough that lazy population would buy
-/// nothing and cost a per-lookup branch.
+/// into micro-ops, keyed by pc. Eagerly built — the mini-ISA programs are
+/// small enough that lazy population would buy nothing and cost a
+/// per-lookup branch.
 class TransCache {
 public:
-  /// Decodes all of \p P (which must outlive the cache). \p Hints, when
-  /// set, stamps every micro-op's hint byte.
-  explicit TransCache(const isa::Program &P, StaticHintFn Hints = nullptr);
+  /// Decodes all of \p P (which must outlive the cache).
+  explicit TransCache(const isa::Program &P);
 
   const isa::Program &program() const { return Prog; }
 
-  struct ThreadTrans {
-    /// Micro-ops indexed by pc.
-    std::vector<MicroOp> Ops;
-    /// Blocks ascending by StartPc, partitioning [0, Ops.size()).
-    std::vector<uint32_t> BlockOf; ///< pc -> index into Blocks
-    std::vector<TransBlock> Blocks;
-  };
-
-  /// The decoded code of thread \p Tid. Any pc — block leader or not —
-  /// resolves in O(1) via BlockOf, so execution can resume mid-block
-  /// after a blocking Lock, a restored checkpoint, or a stepped prefix.
-  const ThreadTrans &thread(isa::ThreadId Tid) const {
+  /// The decoded code of thread \p Tid, indexed by pc.
+  const std::vector<MicroOp> &ops(isa::ThreadId Tid) const {
     return PerThread[Tid];
   }
 
 private:
   const isa::Program &Prog;
-  std::vector<ThreadTrans> PerThread;
+  std::vector<std::vector<MicroOp>> PerThread;
 };
 
 } // namespace vm

@@ -6,6 +6,7 @@
 #include "support/Rng.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace svd;
@@ -46,6 +47,13 @@ std::set<uint32_t> taggedLines(const std::string &Source) {
     ++Line;
   }
   return Lines;
+}
+
+/// Count-down bound of the `rnd r14, N / addi r14, r14, N` busy-work
+/// loops. `rnd r14, 0` draws a full 64-bit value, so N = 0 would never
+/// count down to zero; it is clamped to 1. N >= 1 keeps the program text.
+uint32_t countdownPadding(const WorkloadParams &P) {
+  return std::max(P.WorkPadding, 1u);
 }
 
 /// Builds a Workload from tagged assembly source.
@@ -486,8 +494,8 @@ work:
   bnez r10, loop
   halt
 )",
-                                 P.Threads, P.Iterations, P.WorkPadding,
-                                 P.WorkPadding);
+                                 P.Threads, P.Iterations, countdownPadding(P),
+                                 countdownPadding(P));
   Workload W = fromSource(
       "LockedCounters",
       "Consistently locked shared counter under request-processing "
@@ -531,8 +539,8 @@ work:
   st r1, [@cache_val]
   ret
 )",
-                                 P.Threads, P.Iterations, P.WorkPadding,
-                                 P.WorkPadding);
+                                 P.Threads, P.Iterations, countdownPadding(P),
+                                 countdownPadding(P));
   Workload W = fromSource(
       "ProcCache",
       "Function-structured cache update: the shared value is read via a "
@@ -576,8 +584,8 @@ work:
   st r1, [@cache_val]     ;BUG write-back outside the critical section
   ret
 )",
-                                 P.Threads, P.Iterations, P.WorkPadding,
-                                 P.WorkPadding);
+                                 P.Threads, P.Iterations, countdownPadding(P),
+                                 countdownPadding(P));
   Workload W = fromSource(
       "ProcGap",
       "Buggy twin of ProcCache: the unlock happens between the `get` "
@@ -629,7 +637,7 @@ work:
   halt
 )",
                                  P.Threads * 8, P.Threads, P.Iterations,
-                                 P.WorkPadding, P.WorkPadding);
+                                 countdownPadding(P), countdownPadding(P));
   Workload W = fromSource(
       "TidSlab",
       "Tid-strided per-thread slabs of one shared array (value-flow "

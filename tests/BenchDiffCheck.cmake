@@ -8,22 +8,16 @@
 #   cmake -DBENCH=<svd-bench> -DDIFF=<svd-bench-diff>
 #         -DBASELINE=<BENCH_<suite>.json> -DOUTDIR=<scratch-dir>
 #         [-DSUITE=<suite>]      # default table1
-#         [-DTRANSLATE=ON]       # add --translate (baseline must carry
-#                                # the translate_* rate fields)
 #         -P BenchDiffCheck.cmake
 
 if(NOT SUITE)
   set(SUITE table1)
 endif()
-set(XLFLAG "")
-if(TRANSLATE)
-  set(XLFLAG "--translate")
-endif()
 
 file(MAKE_DIRECTORY "${OUTDIR}")
 set(CURRENT "${OUTDIR}/${SUITE}_perf.json")
 
-execute_process(COMMAND "${BENCH}" --suite ${SUITE} --perf ${XLFLAG} --json
+execute_process(COMMAND "${BENCH}" --suite ${SUITE} --perf --json
                 OUTPUT_FILE "${CURRENT}"
                 RESULT_VARIABLE RC)
 if(NOT RC EQUAL 0)

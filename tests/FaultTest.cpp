@@ -199,7 +199,7 @@ TEST(DetectorBudget, OnlineSvdDegradesGracefullyAndStays) {
   EXPECT_GT(Clean.CusFormed, 4u);
 
   auto Cfg = std::make_shared<detect::OnlineSvdDetectorConfig>();
-  Cfg->MaxStateEntries = 2;
+  Cfg->Budget.MaxStateEntries = 2;
   harness::SampleConfig Budgeted;
   Budgeted.Detector = Cfg;
   harness::SampleMetrics M = harness::runSample(W, "svd", Budgeted);
@@ -329,7 +329,7 @@ TEST(GuardedRunner, OutcomesAreJobsAndShuffleInvariant) {
   C.CrashAtStep = 64;
   fault::FaultPlan Plan(C, 1);
   auto Budget = std::make_shared<detect::OnlineSvdDetectorConfig>();
-  Budget->MaxStateEntries = 2;
+  Budget->Budget.MaxStateEntries = 2;
 
   std::vector<SampleSpec> Specs;
   for (uint64_t Seed = 1; Seed <= 3; ++Seed) {

@@ -30,6 +30,27 @@ struct CountingObserver : ExecutionObserver {
   void onRunEnd() override { ++RunEnds; }
 };
 
+/// The two ways to drive a machine: run()'s timeslice bursts, or one
+/// stepOnce() per instruction. The opcode-semantics tests check each
+/// expectation under both, since the two paths share execOp but not
+/// their loops.
+enum class Drive { Burst, Step };
+constexpr Drive Drives[] = {Drive::Burst, Drive::Step};
+
+const char *driveName(Drive D) {
+  return D == Drive::Burst ? "run()" : "stepOnce() loop";
+}
+
+StopReason drive(Machine &M, Drive D) {
+  if (D == Drive::Burst)
+    return M.run();
+  StopReason R = StopReason::AllHalted;
+  while (M.stepOnce(R)) {
+  }
+  M.notifyRunEnd();
+  return R;
+}
+
 } // namespace
 
 TEST(Machine, ArithmeticAndPrint) {
@@ -43,11 +64,18 @@ TEST(Machine, ArithmeticAndPrint) {
   print r4
   halt
 )");
-  Machine M(P);
-  EXPECT_EQ(M.run(), StopReason::AllHalted);
-  ASSERT_EQ(M.printed().size(), 2u);
-  EXPECT_EQ(M.printed()[0].Value, 42);
-  EXPECT_EQ(M.printed()[1].Value, 36);
+  for (Drive D : Drives) {
+    SCOPED_TRACE(driveName(D));
+    Machine M(P);
+    CountingObserver Obs;
+    M.addObserver(&Obs);
+    EXPECT_EQ(drive(M, D), StopReason::AllHalted);
+    ASSERT_EQ(M.printed().size(), 2u);
+    EXPECT_EQ(M.printed()[0].Value, 42);
+    EXPECT_EQ(M.printed()[1].Value, 36);
+    EXPECT_EQ(Obs.Prints, 2);
+    EXPECT_EQ(Obs.Alus, 6); // print is an ALU event too
+  }
 }
 
 TEST(Machine, AllAluOps) {
@@ -87,13 +115,16 @@ TEST(Machine, AllAluOps) {
   print r3        ; -15
   halt
 )");
-  Machine M(P);
-  M.run();
   std::vector<Word> Want = {17, 2, 2, 4, 13, 9, 384, 0, 1, 1, 0, 1, 1, 4,
                             -15};
-  ASSERT_EQ(M.printed().size(), Want.size());
-  for (size_t I = 0; I < Want.size(); ++I)
-    EXPECT_EQ(M.printed()[I].Value, Want[I]) << "print #" << I;
+  for (Drive D : Drives) {
+    SCOPED_TRACE(driveName(D));
+    Machine M(P);
+    drive(M, D);
+    ASSERT_EQ(M.printed().size(), Want.size());
+    for (size_t I = 0; I < Want.size(); ++I)
+      EXPECT_EQ(M.printed()[I].Value, Want[I]) << "print #" << I;
+  }
 }
 
 TEST(Machine, DivisionByZeroYieldsZero) {
@@ -107,10 +138,14 @@ TEST(Machine, DivisionByZeroYieldsZero) {
   print r4
   halt
 )");
-  Machine M(P);
-  M.run();
-  EXPECT_EQ(M.printed()[0].Value, 0);
-  EXPECT_EQ(M.printed()[1].Value, 0);
+  for (Drive D : Drives) {
+    SCOPED_TRACE(driveName(D));
+    Machine M(P);
+    drive(M, D);
+    ASSERT_EQ(M.printed().size(), 2u);
+    EXPECT_EQ(M.printed()[0].Value, 0);
+    EXPECT_EQ(M.printed()[1].Value, 0);
+  }
 }
 
 TEST(Machine, ZeroRegisterIsHardwired) {
@@ -270,10 +305,14 @@ TEST(Machine, RecursiveLockFaults) {
   lock @m
   halt
 )");
-  Machine M(P);
-  M.run();
-  ASSERT_EQ(M.errors().size(), 1u);
-  EXPECT_NE(M.errors()[0].Message.find("recursive"), std::string::npos);
+  for (Drive D : Drives) {
+    SCOPED_TRACE(driveName(D));
+    Machine M(P);
+    EXPECT_EQ(drive(M, D), StopReason::AllHalted);
+    ASSERT_EQ(M.errors().size(), 1u);
+    EXPECT_NE(M.errors()[0].Message.find("recursive"), std::string::npos);
+    EXPECT_EQ(M.errors()[0].Pc, 1u);
+  }
 }
 
 TEST(Machine, UnlockNotHeldFaults) {
@@ -283,9 +322,14 @@ TEST(Machine, UnlockNotHeldFaults) {
   unlock @m
   halt
 )");
-  Machine M(P);
-  M.run();
-  ASSERT_EQ(M.errors().size(), 1u);
+  for (Drive D : Drives) {
+    SCOPED_TRACE(driveName(D));
+    Machine M(P);
+    EXPECT_EQ(drive(M, D), StopReason::AllHalted);
+    ASSERT_EQ(M.errors().size(), 1u);
+    EXPECT_EQ(M.errors()[0].Message,
+              "fault: unlock of mutex 'm' not held by thread 0");
+  }
 }
 
 TEST(Machine, AssertFailureRecordsErrorAndHaltsThread) {
@@ -296,11 +340,14 @@ TEST(Machine, AssertFailureRecordsErrorAndHaltsThread) {
   print r1      ; never reached
   halt
 )");
-  Machine M(P);
-  EXPECT_EQ(M.run(), StopReason::AllHalted);
-  ASSERT_EQ(M.errors().size(), 1u);
-  EXPECT_EQ(M.errors()[0].Message, "boom");
-  EXPECT_TRUE(M.printed().empty());
+  for (Drive D : Drives) {
+    SCOPED_TRACE(driveName(D));
+    Machine M(P);
+    EXPECT_EQ(drive(M, D), StopReason::AllHalted);
+    ASSERT_EQ(M.errors().size(), 1u);
+    EXPECT_EQ(M.errors()[0].Message, "boom");
+    EXPECT_TRUE(M.printed().empty());
+  }
 }
 
 TEST(Machine, AssertPassIsSilent) {
@@ -310,23 +357,38 @@ TEST(Machine, AssertPassIsSilent) {
   assert r1, "fine"
   halt
 )");
-  Machine M(P);
-  M.run();
-  EXPECT_TRUE(M.errors().empty());
+  for (Drive D : Drives) {
+    SCOPED_TRACE(driveName(D));
+    Machine M(P);
+    EXPECT_EQ(drive(M, D), StopReason::AllHalted);
+    EXPECT_TRUE(M.errors().empty());
+  }
 }
 
 TEST(Machine, OutOfRangeAccessFaults) {
   Program P = asmProg(R"(
 .global g
-.thread t
+.thread loader
   li r1, 100000
   ld r2, [r1]
   halt
+.thread storer
+  li r1, -1
+  st r1, [r1]
+  halt
 )");
-  Machine M(P);
-  M.run();
-  ASSERT_EQ(M.errors().size(), 1u);
-  EXPECT_NE(M.errors()[0].Message.find("out-of-range"), std::string::npos);
+  for (Drive D : Drives) {
+    SCOPED_TRACE(driveName(D));
+    Machine M(P);
+    EXPECT_EQ(drive(M, D), StopReason::AllHalted);
+    ASSERT_EQ(M.errors().size(), 2u);
+    for (const ProgramError &E : M.errors())
+      EXPECT_EQ(E.Message, E.Tid == 0
+                               ? "fault: load from out-of-range address "
+                                 "100000"
+                               : "fault: store to out-of-range address -1");
+    EXPECT_EQ(M.counters().Loads + M.counters().Stores, 0u);
+  }
 }
 
 TEST(Machine, SameSeedSameExecution) {
@@ -630,13 +692,16 @@ TEST(Machine, DivRemByZeroAndOverflow) {
   print r3        ; 0
   halt
 )");
-  Machine M(P);
-  EXPECT_EQ(M.run(), StopReason::AllHalted);
-  ASSERT_EQ(M.printed().size(), 4u);
-  EXPECT_EQ(M.printed()[0].Value, 0);
-  EXPECT_EQ(M.printed()[1].Value, 0);
-  EXPECT_EQ(M.printed()[2].Value, INT64_MIN);
-  EXPECT_EQ(M.printed()[3].Value, 0);
+  for (Drive D : Drives) {
+    SCOPED_TRACE(driveName(D));
+    Machine M(P);
+    EXPECT_EQ(drive(M, D), StopReason::AllHalted);
+    ASSERT_EQ(M.printed().size(), 4u);
+    EXPECT_EQ(M.printed()[0].Value, 0);
+    EXPECT_EQ(M.printed()[1].Value, 0);
+    EXPECT_EQ(M.printed()[2].Value, INT64_MIN);
+    EXPECT_EQ(M.printed()[3].Value, 0);
+  }
 }
 
 TEST(Machine, RndStreamsIndependentOfSchedule) {
@@ -808,14 +873,37 @@ TEST(Machine, CallStackOverflowFaultIsContained) {
 )");
   MachineConfig Cfg;
   Cfg.MaxCallDepth = 8;
-  Machine M(P, Cfg);
-  EXPECT_EQ(M.run(), StopReason::AllHalted);
-  ASSERT_EQ(M.errors().size(), 1u);
-  EXPECT_NE(M.errors()[0].Message.find("call stack overflow"),
-            std::string::npos);
-  EXPECT_EQ(M.errors()[0].Tid, 0);
-  ASSERT_EQ(M.printed().size(), 1u);
-  EXPECT_EQ(M.printed()[0].Value, 7);
+  for (Drive D : Drives) {
+    SCOPED_TRACE(driveName(D));
+    Machine M(P, Cfg);
+    EXPECT_EQ(drive(M, D), StopReason::AllHalted);
+    ASSERT_EQ(M.errors().size(), 1u);
+    EXPECT_EQ(M.errors()[0].Message,
+              "fault: call stack overflow (depth limit 8)");
+    EXPECT_EQ(M.errors()[0].Tid, 0);
+    ASSERT_EQ(M.printed().size(), 1u);
+    EXPECT_EQ(M.printed()[0].Value, 7);
+  }
+}
+
+TEST(Machine, RetOnEmptyStackFaults) {
+  // The assembler rejects a main-body ret, so patch one in: the last
+  // instruction becomes a Ret executed with nothing to return to.
+  Program P = asmProg(R"(
+.thread t
+  li r1, 3
+  halt
+)");
+  P.Threads[0].Code.back().Op = Opcode::Ret;
+  for (Drive D : Drives) {
+    SCOPED_TRACE(driveName(D));
+    Machine M(P);
+    EXPECT_EQ(drive(M, D), StopReason::AllHalted);
+    ASSERT_EQ(M.errors().size(), 1u);
+    EXPECT_EQ(M.errors()[0].Message, "fault: ret with an empty call stack");
+    EXPECT_EQ(M.errors()[0].Pc, 1u);
+    EXPECT_EQ(M.counters().Branches, 0u);
+  }
 }
 
 TEST(Machine, CheckpointRestoreWithLiveCallStack) {

@@ -1,6 +1,7 @@
 //===- tests/OfflineDetectorTest.cpp - Figure 6 offline algorithm tests ---===//
 
 #include "TestUtil.h"
+#include "harness/Harness.h"
 #include "svd/OfflineDetector.h"
 
 #include <gtest/gtest.h>
@@ -122,4 +123,25 @@ TEST(OfflineDetector, StaticKeyGroupsSameCodePair) {
   C.Pc = 3;
   C.OtherPc = 8;
   EXPECT_NE(A.staticKey(), C.staticKey());
+}
+
+// The registry's offline detector honours the shared StateBudget: a
+// Budget-capped config records only a prefix of the trace and reports
+// itself degraded, like the svd and hwsvd detectors under the same cap.
+TEST(OfflineDetector, BudgetCapDegradesRun) {
+  workloads::Workload W;
+  W.Name = "rmw";
+  W.Program = assembleOrDie(RmwSource);
+  W.Manifested = [](const vm::Machine &) { return false; };
+  harness::SampleMetrics Full = harness::runSample(W, "offline", {});
+  EXPECT_FALSE(Full.DetectorDegraded);
+
+  auto Capped = std::make_shared<OfflineDetectorConfig>();
+  Capped->Budget.MaxStateEntries = 2;
+  harness::SampleConfig SC;
+  SC.Detector = Capped;
+  harness::SampleMetrics M = harness::runSample(W, "offline", SC);
+  EXPECT_TRUE(M.DetectorDegraded);
+  EXPECT_GT(M.DetectorEvictions, 0u);
+  EXPECT_EQ(M.Steps, Full.Steps);
 }

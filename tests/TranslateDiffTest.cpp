@@ -1,24 +1,21 @@
-//===- tests/TranslateDiffTest.cpp - Interpreter vs translated engine -----===//
+//===- tests/TranslateDiffTest.cpp - Burst vs single-step execution -------===//
 //
-// The translation cache's whole contract is "bit-identical, only
-// faster" (DESIGN.md section 16): a machine running through decoded
-// blocks must produce the same schedule, counters, errors, prints,
-// final memory, and detector verdicts as the per-step interpreter for
-// every configuration. This suite enforces that differentially — two
-// machines, identical configs except MachineConfig::Translate — over
-// the paper suites, randomized programs, the chaos fault-plan matrix,
-// replay, serial mode, migration, and checkpoint/restore mid-block.
+// run() executes whole timeslices as micro-op bursts with its own copy
+// of the scheduling decision; stepOnce() takes one scheduleNext()
+// decision per instruction. The contract between them (DESIGN.md
+// section 16): the same schedule, counters, errors, prints, final
+// memory, and detector verdicts for every configuration. This suite
+// enforces that differentially — one machine driven by run(), one by a
+// stepOnce() loop, identical configs — over the paper suites,
+// randomized programs, serial mode, migration, replay, the step budget,
+// and checkpoint/restore mid-slice.
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/AccessTable.h"
-#include "analysis/AtomicProof.h"
-#include "fault/Fault.h"
 #include "harness/Harness.h"
 #include "harness/Suites.h"
 #include "svd/OnlineSvd.h"
 #include "vm/Machine.h"
-#include "vm/Translate.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -43,19 +40,23 @@ struct RunSnap {
   uint64_t CusFormed = 0;
 };
 
-/// Runs \p P to completion under \p MC with a fresh OnlineSvd attached
-/// and snapshots every deterministic output. An injected mid-run crash
-/// is caught: both engines crash at the same step, so the prefix still
-/// compares exactly.
+/// How a run is driven: run()'s bursts, or one stepOnce() per step.
+enum class Drive { Burst, Step };
+
+/// Runs \p P to completion under \p MC with a fresh OnlineSvd attached,
+/// driven as \p D, and snapshots every deterministic output.
 RunSnap runOne(const isa::Program &P, const vm::MachineConfig &MC,
-               const detect::OnlineSvdConfig &DC) {
+               Drive D) {
   vm::Machine M(P, MC);
-  detect::OnlineSvd D(P, DC);
-  M.addObserver(&D);
+  detect::OnlineSvd Svd(P, detect::OnlineSvdConfig());
+  M.addObserver(&Svd);
   RunSnap S;
-  try {
+  if (D == Drive::Burst) {
     S.Stop = M.run();
-  } catch (const fault::InjectedCrash &) {
+  } else {
+    while (M.stepOnce(S.Stop)) {
+    }
+    M.notifyRunEnd();
   }
   S.Steps = M.steps();
   S.Schedule = M.schedule();
@@ -65,65 +66,60 @@ RunSnap runOne(const isa::Program &P, const vm::MachineConfig &MC,
   S.Memory.reserve(P.MemoryWords);
   for (isa::Addr A = 0; A < P.MemoryWords; ++A)
     S.Memory.push_back(M.readMem(A));
-  S.Violations = D.violations();
-  S.CusFormed = D.numCusFormed();
+  S.Violations = Svd.violations();
+  S.CusFormed = Svd.numCusFormed();
   return S;
 }
 
-void expectSame(const RunSnap &I, const RunSnap &T, const std::string &Ctx) {
-  EXPECT_EQ(I.Stop, T.Stop) << Ctx;
-  EXPECT_EQ(I.Steps, T.Steps) << Ctx;
-  EXPECT_EQ(I.Schedule, T.Schedule) << Ctx;
+/// Step-driven \p S and burst-driven \p B must agree on every field.
+void expectSame(const RunSnap &S, const RunSnap &B, const std::string &Ctx) {
+  EXPECT_EQ(S.Stop, B.Stop) << Ctx;
+  EXPECT_EQ(S.Steps, B.Steps) << Ctx;
+  EXPECT_EQ(S.Schedule, B.Schedule) << Ctx;
 
-  EXPECT_EQ(I.C.Loads, T.C.Loads) << Ctx;
-  EXPECT_EQ(I.C.Stores, T.C.Stores) << Ctx;
-  EXPECT_EQ(I.C.Alu, T.C.Alu) << Ctx;
-  EXPECT_EQ(I.C.Branches, T.C.Branches) << Ctx;
-  EXPECT_EQ(I.C.LockAcquires, T.C.LockAcquires) << Ctx;
-  EXPECT_EQ(I.C.LockSpins, T.C.LockSpins) << Ctx;
-  EXPECT_EQ(I.C.Unlocks, T.C.Unlocks) << Ctx;
-  EXPECT_EQ(I.C.ProgramErrors, T.C.ProgramErrors) << Ctx;
-  EXPECT_EQ(I.C.FaultStalls, T.C.FaultStalls) << Ctx;
-  EXPECT_EQ(I.C.FaultLockFailures, T.C.FaultLockFailures) << Ctx;
-  EXPECT_EQ(I.C.FaultPreemptions, T.C.FaultPreemptions) << Ctx;
+  EXPECT_EQ(S.C.Loads, B.C.Loads) << Ctx;
+  EXPECT_EQ(S.C.Stores, B.C.Stores) << Ctx;
+  EXPECT_EQ(S.C.Alu, B.C.Alu) << Ctx;
+  EXPECT_EQ(S.C.Branches, B.C.Branches) << Ctx;
+  EXPECT_EQ(S.C.LockAcquires, B.C.LockAcquires) << Ctx;
+  EXPECT_EQ(S.C.LockSpins, B.C.LockSpins) << Ctx;
+  EXPECT_EQ(S.C.Unlocks, B.C.Unlocks) << Ctx;
+  EXPECT_EQ(S.C.ProgramErrors, B.C.ProgramErrors) << Ctx;
+  EXPECT_EQ(S.C.FaultStalls, B.C.FaultStalls) << Ctx;
+  EXPECT_EQ(S.C.FaultLockFailures, B.C.FaultLockFailures) << Ctx;
+  EXPECT_EQ(S.C.FaultPreemptions, B.C.FaultPreemptions) << Ctx;
 
-  ASSERT_EQ(I.Errors.size(), T.Errors.size()) << Ctx;
-  for (size_t K = 0; K < I.Errors.size(); ++K) {
-    EXPECT_EQ(I.Errors[K].Seq, T.Errors[K].Seq) << Ctx;
-    EXPECT_EQ(I.Errors[K].Tid, T.Errors[K].Tid) << Ctx;
-    EXPECT_EQ(I.Errors[K].Pc, T.Errors[K].Pc) << Ctx;
-    EXPECT_EQ(I.Errors[K].Message, T.Errors[K].Message) << Ctx;
+  ASSERT_EQ(S.Errors.size(), B.Errors.size()) << Ctx;
+  for (size_t K = 0; K < S.Errors.size(); ++K) {
+    EXPECT_EQ(S.Errors[K].Seq, B.Errors[K].Seq) << Ctx;
+    EXPECT_EQ(S.Errors[K].Tid, B.Errors[K].Tid) << Ctx;
+    EXPECT_EQ(S.Errors[K].Pc, B.Errors[K].Pc) << Ctx;
+    EXPECT_EQ(S.Errors[K].Message, B.Errors[K].Message) << Ctx;
   }
-  ASSERT_EQ(I.Prints.size(), T.Prints.size()) << Ctx;
-  for (size_t K = 0; K < I.Prints.size(); ++K) {
-    EXPECT_EQ(I.Prints[K].Seq, T.Prints[K].Seq) << Ctx;
-    EXPECT_EQ(I.Prints[K].Tid, T.Prints[K].Tid) << Ctx;
-    EXPECT_EQ(I.Prints[K].Value, T.Prints[K].Value) << Ctx;
+  ASSERT_EQ(S.Prints.size(), B.Prints.size()) << Ctx;
+  for (size_t K = 0; K < S.Prints.size(); ++K) {
+    EXPECT_EQ(S.Prints[K].Seq, B.Prints[K].Seq) << Ctx;
+    EXPECT_EQ(S.Prints[K].Tid, B.Prints[K].Tid) << Ctx;
+    EXPECT_EQ(S.Prints[K].Value, B.Prints[K].Value) << Ctx;
   }
-  EXPECT_EQ(I.Memory, T.Memory) << Ctx;
+  EXPECT_EQ(S.Memory, B.Memory) << Ctx;
 
-  ASSERT_EQ(I.Violations.size(), T.Violations.size()) << Ctx;
-  for (size_t K = 0; K < I.Violations.size(); ++K) {
-    const detect::Violation &A = I.Violations[K];
-    const detect::Violation &B = T.Violations[K];
-    EXPECT_TRUE(A.Seq == B.Seq && A.Tid == B.Tid && A.Pc == B.Pc &&
-                A.OtherTid == B.OtherTid && A.OtherPc == B.OtherPc &&
-                A.OtherSeq == B.OtherSeq && A.Address == B.Address)
+  ASSERT_EQ(S.Violations.size(), B.Violations.size()) << Ctx;
+  for (size_t K = 0; K < S.Violations.size(); ++K) {
+    const detect::Violation &X = S.Violations[K];
+    const detect::Violation &Y = B.Violations[K];
+    EXPECT_TRUE(X.Seq == Y.Seq && X.Tid == Y.Tid && X.Pc == Y.Pc &&
+                X.OtherTid == Y.OtherTid && X.OtherPc == Y.OtherPc &&
+                X.OtherSeq == Y.OtherSeq && X.Address == Y.Address)
         << Ctx << ": violation " << K << " diverged";
   }
-  EXPECT_EQ(I.CusFormed, T.CusFormed) << Ctx;
+  EXPECT_EQ(S.CusFormed, B.CusFormed) << Ctx;
 }
 
-/// Interpreter vs translated over \p P at \p MC (Translate forced off /
-/// on respectively); plain detector config.
-void diffProgram(const isa::Program &P, vm::MachineConfig MC,
+/// Single steps vs bursts over \p P at \p MC.
+void diffProgram(const isa::Program &P, const vm::MachineConfig &MC,
                  const std::string &Ctx) {
-  detect::OnlineSvdConfig DC;
-  MC.Translate = false;
-  RunSnap I = runOne(P, MC, DC);
-  MC.Translate = true;
-  RunSnap T = runOne(P, MC, DC);
-  expectSame(I, T, Ctx);
+  expectSame(runOne(P, MC, Drive::Step), runOne(P, MC, Drive::Burst), Ctx);
 }
 
 vm::MachineConfig configFor(uint64_t Seed, uint32_t MinTs, uint32_t MaxTs) {
@@ -138,7 +134,7 @@ vm::MachineConfig configFor(uint64_t Seed, uint32_t MinTs, uint32_t MaxTs) {
 /// across seeds and three timeslice regimes including the table-1
 /// per-instruction interleave. \p Thorough=false (the multi-megaword
 /// shadow suite, where one run costs seconds) keeps one seed and the
-/// two extreme regimes — still both engine paths, just fewer repeats.
+/// two extreme regimes — still both drive modes, just fewer repeats.
 void diffSuite(const char *Suite, bool Thorough = true) {
   std::vector<workloads::Workload> Ws = harness::suiteWorkloads(Suite);
   ASSERT_FALSE(Ws.empty()) << Suite;
@@ -194,34 +190,9 @@ TEST(TranslateDiff, RandomPrograms) {
   }
 }
 
-// The chaos fault-plan matrix: stalls, lock failures, preemption
-// storms, mid-run crashes. The translated engine serves these through
-// its single-step fallback, and the prefix up to an injected crash
-// must still match exactly.
-TEST(TranslateDiff, ChaosPlanMatrix) {
-  workloads::WorkloadParams WP;
-  WP.Threads = 4;
-  WP.Iterations = 20;
-  WP.WorkPadding = 8;
-  std::vector<workloads::Workload> Ws = workloads::table1Workloads(WP);
-
-  std::vector<fault::FaultPlanConfig> Plans = fault::defaultPlanMatrix(5);
-  for (const workloads::Workload &W : Ws) {
-    for (const fault::FaultPlanConfig &PC : Plans) {
-      for (uint64_t Seed : {1, 11}) {
-        fault::FaultPlan Plan(PC, Seed);
-        vm::MachineConfig MC = configFor(Seed, 1, 4);
-        MC.Faults = &Plan;
-        diffProgram(W.Program, MC,
-                    W.Name + " plan " + PC.Name + " seed " +
-                        std::to_string(Seed));
-      }
-    }
-  }
-}
-
-// Serial mode and OS-style CPU migration (both served by dedicated
-// scheduler paths) stay identical too.
+// Serial mode (run() grants the whole stretch as one burst) and
+// OS-style CPU migration (run() falls back to stepOnce) stay identical
+// too.
 TEST(TranslateDiff, SerialModeAndMigration) {
   workloads::WorkloadParams WP;
   WP.Threads = 4;
@@ -239,9 +210,8 @@ TEST(TranslateDiff, SerialModeAndMigration) {
   }
 }
 
-// Replaying a recorded schedule through a translated machine follows
-// the recording exactly (the replay branch is pre-burst, so this rides
-// the single-step fallback).
+// Replaying a burst-recorded schedule follows the recording exactly
+// (the replay branch is pre-burst, so the replay rides stepOnce).
 TEST(TranslateDiff, ReplayFollowsRecording) {
   workloads::WorkloadParams WP;
   WP.Threads = 3;
@@ -254,7 +224,6 @@ TEST(TranslateDiff, ReplayFollowsRecording) {
 
   vm::MachineConfig RMC = configFor(1234, 1, 4); // divergent sched seed
   RMC.RndSeed = MC.RndSeed; // same program inputs — replay's precondition
-  RMC.Translate = true;
   vm::Machine Rep(W.Program, RMC);
   Rep.setReplaySchedule(Rec.schedule());
   EXPECT_EQ(Rep.run(), vm::StopReason::AllHalted);
@@ -262,10 +231,10 @@ TEST(TranslateDiff, ReplayFollowsRecording) {
   EXPECT_EQ(Rep.steps(), Rec.steps());
 }
 
-// Checkpoint/restore across a translated run, with the checkpoint taken
-// MID-BLOCK (a stepped prefix stops wherever it stops, not at a block
-// boundary): the burst engine must resume from an arbitrary pc via the
-// BlockOf map and still match the interpreter and its own first pass.
+// Checkpoint/restore across a burst run, with the checkpoint taken
+// MID-SLICE and mid-block (a stepped prefix stops wherever it stops):
+// run() must resume from an arbitrary pc and slice position and still
+// match a stepOnce() loop and its own first pass.
 TEST(TranslateDiff, CheckpointRestoreMidBlock) {
   workloads::WorkloadParams WP;
   WP.Threads = 3;
@@ -274,13 +243,8 @@ TEST(TranslateDiff, CheckpointRestoreMidBlock) {
   workloads::Workload W = workloads::mysqlPrepared(WP);
 
   vm::MachineConfig MC = configFor(7, 4, 9);
-  RunSnap I = runOne(W.Program, [&] {
-    vm::MachineConfig C = MC;
-    C.Translate = false;
-    return C;
-  }(), detect::OnlineSvdConfig());
+  RunSnap I = runOne(W.Program, MC, Drive::Step);
 
-  MC.Translate = true;
   vm::Machine M(W.Program, MC);
   vm::StopReason R;
   // 13 single steps land mid-slice and mid-block for these timeslices.
@@ -292,8 +256,8 @@ TEST(TranslateDiff, CheckpointRestoreMidBlock) {
   EXPECT_EQ(FirstPass, I.Schedule);
   EXPECT_EQ(M.steps(), I.Steps);
 
-  // Roll back to the mid-block checkpoint and run the tail again: the
-  // burst engine resumes at a non-leader pc and reproduces the run.
+  // Roll back to the mid-slice checkpoint and run the tail again: the
+  // burst loop resumes at a non-leader pc and reproduces the run.
   M.restore(C);
   EXPECT_EQ(M.run(), I.Stop);
   EXPECT_EQ(M.schedule(), I.Schedule);
@@ -302,82 +266,11 @@ TEST(TranslateDiff, CheckpointRestoreMidBlock) {
     ASSERT_EQ(M.readMem(A), I.Memory[A]) << "addr " << A;
 }
 
-// Folded static hints: a translated machine running from a hint-stamped
-// shared cache, with the detector trusting the hints, must match an
-// interpreter machine whose detector does the per-event table lookups —
-// same violations AND same filtered/pruned tallies. Also proves cache
-// sharing across machines (two seeds, one cache).
-TEST(TranslateDiff, StaticHintFoldMatchesTableLookups) {
-  workloads::WorkloadParams WP;
-  WP.Threads = 4;
-  WP.Iterations = 20;
-  WP.WorkPadding = 8;
-  for (workloads::Workload W :
-       {workloads::lockedCounters(WP), workloads::tidSlab(WP)}) {
-    analysis::AccessTable Table = analysis::buildAccessTable(W.Program);
-    analysis::CuProofs Proofs = analysis::proveAtomicCus(W.Program);
-    vm::TransCache Hinted(W.Program, [&](isa::ThreadId Tid, uint32_t Pc) {
-      uint8_t H = vm::HintClassified;
-      if (Table.classify(Tid, Pc) == analysis::AccessClass::ThreadLocal)
-        H |= vm::HintFilteredLocal;
-      if (Proofs.provenAt(Tid, Pc))
-        H |= vm::HintProvenCu;
-      return H;
-    });
-
-    detect::OnlineSvdConfig Lookup;
-    Lookup.Access = &Table;
-    Lookup.Proofs = &Proofs;
-    detect::OnlineSvdConfig Trusting = Lookup;
-    Trusting.TrustStaticHints = true;
-
-    for (uint64_t Seed : {2, 31}) {
-      vm::MachineConfig MC = configFor(Seed, 1, 4);
-      RunSnap I = runOne(W.Program, MC, Lookup);
-
-      MC.Translate = true;
-      MC.Cache = &Hinted;
-      vm::Machine M(W.Program, MC);
-      detect::OnlineSvd D(W.Program, Trusting);
-      M.addObserver(&D);
-      vm::StopReason Stop = M.run();
-
-      std::string Ctx = W.Name + " seed " + std::to_string(Seed);
-      EXPECT_EQ(Stop, I.Stop) << Ctx;
-      EXPECT_EQ(M.schedule(), I.Schedule) << Ctx;
-      ASSERT_EQ(D.violations().size(), I.Violations.size()) << Ctx;
-      EXPECT_EQ(D.numCusFormed(), I.CusFormed) << Ctx;
-    }
-
-    // The tallies themselves: one machine, trusted vs lookup detectors
-    // side by side see identical filtered/pruned counts.
-    vm::MachineConfig MC = configFor(2, 1, 4);
-    MC.Translate = true;
-    MC.Cache = &Hinted;
-    vm::Machine M(W.Program, MC);
-    detect::OnlineSvd Trusted(W.Program, Trusting);
-    detect::OnlineSvd Looked(W.Program, Lookup);
-    M.addObserver(&Trusted);
-    M.addObserver(&Looked);
-    M.run();
-    EXPECT_EQ(Trusted.filteredAccesses(), Looked.filteredAccesses())
-        << W.Name;
-    EXPECT_EQ(Trusted.prunedAccesses(), Looked.prunedAccesses()) << W.Name;
-    EXPECT_EQ(Trusted.violations().size(), Looked.violations().size())
-        << W.Name;
-    // And the showcase workloads actually exercise both fast paths.
-    EXPECT_GT(Trusted.filteredAccesses() + Trusted.prunedAccesses(), 0u)
-        << W.Name;
-  }
-}
-
-// A translated machine must refuse a cache built over a different
-// program (the harness shares caches across seeds, never programs).
 TEST(TranslateDiff, BurstStopsAtStepBudget) {
   // MaxSteps truncation mid-slice: the budget must clamp the burst, the
   // stop reason must be StepBudget, and a continuation after raising
   // the budget is NOT part of the contract — instead compare against
-  // the interpreter at the same tiny budget.
+  // single steps at the same tiny budget.
   workloads::WorkloadParams WP;
   WP.Threads = 2;
   WP.Iterations = 10;

@@ -206,3 +206,26 @@ TEST(Workloads, Table1CoversThePaperPrograms) {
   EXPECT_TRUE(All[1].HasKnownBug);
   EXPECT_FALSE(All[2].HasKnownBug);
 }
+
+// Padding 0 behaves as padding 1 in the count-down builders: every
+// busy-work loop runs once, so each program halts well inside a small
+// step budget instead of counting down from a 64-bit `rnd` draw.
+TEST(Workloads, ZeroPaddingHalts) {
+  WorkloadParams P;
+  P.Threads = 2;
+  P.Iterations = 4;
+  P.WorkPadding = 0;
+  WorkloadParams One = P;
+  One.WorkPadding = 1;
+  for (auto Build : {lockedCounters, tidSlab, procCache, procGap}) {
+    Workload W = Build(P);
+    Workload W1 = Build(One);
+    MachineConfig Cfg;
+    Cfg.MaxSteps = 10'000;
+    Machine M(W.Program, Cfg);
+    Machine M1(W1.Program, Cfg);
+    EXPECT_EQ(M.run(), StopReason::AllHalted) << W.Name;
+    M1.run();
+    EXPECT_EQ(M.steps(), M1.steps()) << W.Name;
+  }
+}

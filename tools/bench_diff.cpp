@@ -11,7 +11,7 @@
 // Deterministic fields must match byte-for-byte: row names, order and
 // count, threads, static_instrs, dynamic_instrs, known_bug, events,
 // pruned_events, filtered_events, proven_cus and pruned_pct. Any
-// *_per_sec field (insts_per_sec, translate_insts_per_sec, the serve
+// *_per_sec field (insts_per_sec, vm_insts_per_sec, the serve
 // suite's events_per_sec) is advisory — its drift is printed but never
 // fails the diff (CI machines differ; the committed number is a point
 // of reference, not a contract).

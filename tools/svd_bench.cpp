@@ -45,10 +45,6 @@ const char *Usage =
     "  --perf               table1/shadow: add a performance section\n"
     "                       (insts/s under OnlineSvd, plus deterministic\n"
     "                       event / pruned-event / shadow-page counts)\n"
-    "  --translate          execute samples through the decode-once\n"
-    "                       translation cache (vm/Translate.h); outputs\n"
-    "                       are bit-identical, and --perf additionally\n"
-    "                       reports the translated instruction rates\n"
     "  --metrics-json FILE  write the obs registry (deterministic counters\n"
     "                       + timing stats) as svd-metrics-v1 JSON\n"
     "  --trace-out FILE     write a Chrome trace_event JSON of the run\n"
@@ -87,7 +83,6 @@ int main(int Argc, char **Argv) {
   P.value("--seeds", &Seeds);
   P.flag("--json", &O.Json);
   P.flag("--perf", &O.Perf);
-  P.flag("--translate", &O.Translate);
   P.flag("--list", &List);
   P.value("--metrics-json", &MetricsPath);
   P.value("--trace-out", &TracePath);

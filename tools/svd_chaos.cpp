@@ -96,7 +96,7 @@ budgetConfig(const std::string &Detector, uint64_t Budget) {
     C = std::make_unique<detect::OfflineDetectorConfig>();
   else
     return nullptr;
-  C->MaxStateEntries = Budget;
+  C->Budget.MaxStateEntries = Budget;
   return std::shared_ptr<const detect::DetectorConfig>(std::move(C));
 }
 
