@@ -6,8 +6,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
-#include <set>
 
 using namespace svd;
 using namespace svd::cu;
@@ -21,10 +19,12 @@ using trace::TraceEvent;
 namespace {
 
 /// Union-find over event indices with per-root CU payload (the `active`
-/// flag and shVars set of Figure 5's CU_T).
+/// flag and shVars set of Figure 5's CU_T). A shVars set is a sorted
+/// vector, allocated only for a root whose CU writes a shared word;
+/// every other root's set is empty and costs one slot index.
 class UnionFind {
 public:
-  explicit UnionFind(size_t N) : Parent(N), Active(N, false), ShVars(N) {
+  explicit UnionFind(size_t N) : Parent(N), Active(N, 0), SetOf(N, NoSet) {
     for (size_t I = 0; I < N; ++I)
       Parent[I] = static_cast<uint32_t>(I);
   }
@@ -45,27 +45,58 @@ public:
     if (A == B)
       return A;
     // Union by shVars size to bound copying.
-    if (ShVars[A].size() < ShVars[B].size())
+    if (setSize(A) < setSize(B))
       std::swap(A, B);
     Parent[B] = A;
-    Active[A] = Active[A] || Active[B];
-    ShVars[A].insert(ShVars[B].begin(), ShVars[B].end());
-    ShVars[B].clear();
+    Active[A] = Active[A] | Active[B];
+    if (SetOf[B] != NoSet) {
+      std::vector<isa::Addr> &Into = Sets[SetOf[A]];
+      std::vector<isa::Addr> &From = Sets[SetOf[B]];
+      size_t Mid = Into.size();
+      Into.insert(Into.end(), From.begin(), From.end());
+      std::inplace_merge(Into.begin(), Into.begin() + Mid, Into.end());
+      Into.erase(std::unique(Into.begin(), Into.end()), Into.end());
+      std::vector<isa::Addr>().swap(From);
+      SetOf[B] = NoSet;
+    }
     return A;
   }
 
   bool isActive(uint32_t X) { return Active[find(X)]; }
   void setActive(uint32_t X, bool V) { Active[find(X)] = V; }
   bool hasShVar(uint32_t X, isa::Addr A) {
-    return ShVars[find(X)].count(A) != 0;
+    uint32_t S = SetOf[find(X)];
+    return S != NoSet && std::binary_search(Sets[S].begin(), Sets[S].end(), A);
   }
-  void addShVar(uint32_t X, isa::Addr A) { ShVars[find(X)].insert(A); }
-  const std::set<isa::Addr> &shVars(uint32_t Root) { return ShVars[Root]; }
+  void addShVar(uint32_t X, isa::Addr A) {
+    uint32_t Root = find(X);
+    if (SetOf[Root] == NoSet) {
+      SetOf[Root] = static_cast<uint32_t>(Sets.size());
+      Sets.emplace_back();
+    }
+    std::vector<isa::Addr> &Sh = Sets[SetOf[Root]];
+    auto It = std::lower_bound(Sh.begin(), Sh.end(), A);
+    if (It == Sh.end() || *It != A)
+      Sh.insert(It, A);
+  }
+  /// Moves out the shVars of \p Root, ascending.
+  std::vector<isa::Addr> takeShVars(uint32_t Root) {
+    return SetOf[Root] == NoSet ? std::vector<isa::Addr>()
+                                : std::move(Sets[SetOf[Root]]);
+  }
 
 private:
+  static constexpr uint32_t NoSet = UINT32_MAX;
+
+  size_t setSize(uint32_t Root) const {
+    return SetOf[Root] == NoSet ? 0 : Sets[SetOf[Root]].size();
+  }
+
   std::vector<uint32_t> Parent;
-  std::vector<bool> Active;
-  std::vector<std::set<isa::Addr>> ShVars;
+  std::vector<uint8_t> Active;
+  /// Per root: index into Sets, or NoSet for an empty shVars set.
+  std::vector<uint32_t> SetOf;
+  std::vector<std::vector<isa::Addr>> Sets;
 };
 
 /// Returns true for events that are dynamic statements (CU members).
@@ -86,7 +117,7 @@ bool isStatement(const TraceEvent &E) {
 CuPartition CuPartition::compute(const ProgramTrace &T,
                                  const pdg::DynamicPdg &G) {
   CuPartition Out;
-  size_t N = T.size();
+  uint32_t N = static_cast<uint32_t>(T.size());
   Out.EventUnit.assign(N, NoUnit);
   UnionFind UF(N);
 
@@ -128,30 +159,31 @@ CuPartition CuPartition::compute(const ProgramTrace &T,
       UF.addShVar(E, Ev.Address);
   }
 
-  // Collect the final weakly connected components into CU records.
-  std::map<uint32_t, uint32_t> RootToUnit;
+  // Collect the final weakly connected components into CU records,
+  // numbered in order of their first statement.
+  std::vector<uint32_t> RootToUnit(N, NoUnit);
+  std::vector<uint32_t> UnitRoot;
   for (uint32_t E = 0; E < N; ++E) {
     if (!isStatement(T[E]))
       continue;
     uint32_t Root = UF.find(E);
-    auto [It, Fresh] =
-        RootToUnit.try_emplace(Root, static_cast<uint32_t>(Out.Units.size()));
-    if (Fresh) {
+    uint32_t &Unit = RootToUnit[Root];
+    if (Unit == NoUnit) {
+      Unit = static_cast<uint32_t>(Out.Units.size());
+      UnitRoot.push_back(Root);
       ComputationalUnit U;
-      U.Id = It->second;
+      U.Id = Unit;
       U.Tid = T[E].Tid;
       U.BeginSeq = T[E].Seq;
       Out.Units.push_back(std::move(U));
     }
-    ComputationalUnit &U = Out.Units[It->second];
+    ComputationalUnit &U = Out.Units[Unit];
     U.Events.push_back(E);
     U.EndSeq = std::max(U.EndSeq, T[E].Seq);
     Out.EventUnit[E] = U.Id;
   }
-  for (auto &[Root, UnitId] : RootToUnit) {
-    const std::set<isa::Addr> &Sh = UF.shVars(Root);
-    Out.Units[UnitId].SharedWrites.assign(Sh.begin(), Sh.end());
-  }
+  for (ComputationalUnit &U : Out.Units)
+    U.SharedWrites = UF.takeShVars(UnitRoot[U.Id]);
   return Out;
 }
 

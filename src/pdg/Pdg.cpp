@@ -3,8 +3,10 @@
 #include "pdg/Pdg.h"
 
 #include "isa/Cfg.h"
+#include "shadow/Shadow.h"
 #include "support/Error.h"
 
+#include <array>
 #include <cassert>
 
 using namespace svd;
@@ -32,10 +34,8 @@ const char *pdg::depKindName(DepKind K) {
 
 void DynamicPdg::addArc(const DepArc &A) {
   assert(A.From < A.To && "arcs must point forward in execution order");
-  uint32_t Idx = static_cast<uint32_t>(Arcs.size());
+  assert(A.To + 1 == InBegin.size() && "arcs are added in To order");
   Arcs.push_back(A);
-  Incoming[A.To].push_back(Idx);
-  Outgoing[A.From].push_back(Idx);
 }
 
 size_t DynamicPdg::countArcs(DepKind K) const {
@@ -50,24 +50,31 @@ DynamicPdg DynamicPdg::build(const ProgramTrace &T) {
   DynamicPdg G;
   const isa::Program &P = T.program();
   uint32_t NumThreads = P.numThreads();
-  size_t N = T.size();
-  G.Incoming.resize(N);
-  G.Outgoing.resize(N);
+  uint32_t N = static_cast<uint32_t>(T.size());
+  G.InBegin.clear();
+  G.InBegin.reserve(size_t(N) + 1);
+  G.Arcs.reserve(size_t(N) * 2);
 
-  constexpr int64_t None = -1;
+  // The last-writer tables below hold event index + 1; the default
+  // entry 0 means "none". The per-word ones are paged (shadow::Table),
+  // so only the words the trace touches cost memory.
 
   // Register def-use, per thread.
-  std::vector<std::vector<int64_t>> LastRegWriter(
-      NumThreads, std::vector<int64_t>(isa::NumRegs, None));
+  std::vector<std::array<uint32_t, isa::NumRegs>> LastRegWriter(NumThreads);
 
   // Last same-thread store per word (memory-carried true dependences).
-  std::vector<std::vector<int64_t>> LastLocalStore(
-      NumThreads, std::vector<int64_t>(P.MemoryWords, None));
+  std::vector<shadow::Table<uint32_t>> LastLocalStore;
+  LastLocalStore.reserve(NumThreads);
+  for (uint32_t Tid = 0; Tid < NumThreads; ++Tid)
+    LastLocalStore.emplace_back(P.MemoryWords);
 
   // Conflict-dependence state per word: the most recent write (any
   // thread) and the reads since it.
-  std::vector<int64_t> LastWrite(P.MemoryWords, None);
-  std::vector<std::vector<uint32_t>> ReadsSinceWrite(P.MemoryWords);
+  struct WordState {
+    uint32_t LastWrite = 0;
+    std::vector<uint32_t> ReadsSinceWrite;
+  };
+  shadow::Table<WordState> Words(P.MemoryWords);
 
   // Dynamic control-dependence stacks: (branch event, reconvergence pc).
   struct CtrlFrame {
@@ -83,14 +90,12 @@ DynamicPdg DynamicPdg::build(const ProgramTrace &T) {
   auto AddTrueReg = [&](uint32_t Tid, isa::Reg R, uint32_t To) {
     if (R == isa::ZeroReg)
       return;
-    int64_t From = LastRegWriter[Tid][R];
-    if (From == None)
-      return;
-    G.addArc({static_cast<uint32_t>(From), To, DepKind::TrueLocal,
-              /*ViaMemory=*/false, 0});
+    if (uint32_t From = LastRegWriter[Tid][R])
+      G.addArc({From - 1, To, DepKind::TrueLocal, /*ViaMemory=*/false, 0});
   };
 
   for (uint32_t E = 0; E < N; ++E) {
+    G.InBegin.push_back(static_cast<uint32_t>(G.Arcs.size()));
     const TraceEvent &Ev = T[E];
     uint32_t Tid = Ev.Tid;
 
@@ -117,33 +122,32 @@ DynamicPdg DynamicPdg::build(const ProgramTrace &T) {
     switch (Ev.Kind) {
     case EventKind::Load: {
       // Memory-carried true dependence from the last same-thread store.
-      int64_t From = LastLocalStore[Tid][Ev.Address];
-      if (From != None)
-        G.addArc({static_cast<uint32_t>(From), E,
+      if (uint32_t From = LastLocalStore[Tid].peek(Ev.Address))
+        G.addArc({From - 1, E,
                   T.isSharedAddress(Ev.Address) ? DepKind::TrueShared
                                                 : DepKind::TrueLocal,
                   /*ViaMemory=*/true, Ev.Address});
       // Conflict: read after a remote write.
-      int64_t W = LastWrite[Ev.Address];
-      if (W != None && T[static_cast<size_t>(W)].Tid != Tid)
-        G.addArc({static_cast<uint32_t>(W), E, DepKind::Conflict,
+      WordState &W = Words.touch(Ev.Address);
+      if (W.LastWrite && T[W.LastWrite - 1].Tid != Tid)
+        G.addArc({W.LastWrite - 1, E, DepKind::Conflict,
                   /*ViaMemory=*/true, Ev.Address});
-      ReadsSinceWrite[Ev.Address].push_back(E);
+      W.ReadsSinceWrite.push_back(E);
       break;
     }
     case EventKind::Store: {
       // Conflict: write after remote write and after remote reads.
-      int64_t W = LastWrite[Ev.Address];
-      if (W != None && T[static_cast<size_t>(W)].Tid != Tid)
-        G.addArc({static_cast<uint32_t>(W), E, DepKind::Conflict,
+      WordState &W = Words.touch(Ev.Address);
+      if (W.LastWrite && T[W.LastWrite - 1].Tid != Tid)
+        G.addArc({W.LastWrite - 1, E, DepKind::Conflict,
                   /*ViaMemory=*/true, Ev.Address});
-      for (uint32_t R : ReadsSinceWrite[Ev.Address])
+      for (uint32_t R : W.ReadsSinceWrite)
         if (T[R].Tid != Tid)
           G.addArc({R, E, DepKind::Conflict, /*ViaMemory=*/true,
                     Ev.Address});
-      ReadsSinceWrite[Ev.Address].clear();
-      LastWrite[Ev.Address] = E;
-      LastLocalStore[Tid][Ev.Address] = E;
+      W.ReadsSinceWrite.clear();
+      W.LastWrite = E + 1;
+      LastLocalStore[Tid].touch(Ev.Address) = E + 1;
       break;
     }
     case EventKind::Branch: {
@@ -163,8 +167,9 @@ DynamicPdg DynamicPdg::build(const ProgramTrace &T) {
 
     // --- register definition --------------------------------------------
     if (isa::writesRd(I.Op) && I.Rd != isa::ZeroReg)
-      LastRegWriter[Tid][I.Rd] = E;
+      LastRegWriter[Tid][I.Rd] = E + 1;
   }
+  G.InBegin.push_back(static_cast<uint32_t>(G.Arcs.size()));
 
   return G;
 }

@@ -19,6 +19,14 @@
 /// Arcs are stored as (From, To) with From executed before To, i.e. the
 /// paper's (a <- b) arc appears here as From = b, To = a.
 ///
+/// Storage is compressed sparse row. build() adds every arc while it
+/// processes the arc's To event, so arcs() is already sorted by To and
+/// the arcs ending at event E are the index range [InBegin[E],
+/// InBegin[E+1]): one offset array of N+1 entries, no per-event
+/// vectors. The per-word tables build() keeps while scanning live on
+/// shadow::Table pages, so a build costs O(trace + touched pages), not
+/// O(threads x address space).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SVD_PDG_PDG_H
@@ -27,6 +35,7 @@
 #include "trace/Trace.h"
 
 #include <cstdint>
+#include <ranges>
 #include <vector>
 
 namespace svd {
@@ -66,25 +75,21 @@ public:
 
   const std::vector<DepArc> &arcs() const { return Arcs; }
 
-  /// Indices into arcs() of the arcs ending at \p Event.
-  const std::vector<uint32_t> &incoming(uint32_t Event) const {
-    return Incoming[Event];
+  /// Indices into arcs() of the arcs ending at \p Event, ascending.
+  std::ranges::iota_view<uint32_t, uint32_t> incoming(uint32_t Event) const {
+    return std::views::iota(InBegin[Event], InBegin[Event + 1]);
   }
 
-  /// Indices into arcs() of the arcs starting at \p Event.
-  const std::vector<uint32_t> &outgoing(uint32_t Event) const {
-    return Outgoing[Event];
-  }
-
-  size_t numEvents() const { return Incoming.size(); }
+  size_t numEvents() const { return InBegin.size() - 1; }
 
   /// Number of arcs of kind \p K.
   size_t countArcs(DepKind K) const;
 
 private:
   std::vector<DepArc> Arcs;
-  std::vector<std::vector<uint32_t>> Incoming;
-  std::vector<std::vector<uint32_t>> Outgoing;
+  /// CSR offsets: the arcs ending at event E are Arcs[InBegin[E] ..
+  /// InBegin[E+1]).
+  std::vector<uint32_t> InBegin{0};
 
   void addArc(const DepArc &A);
 };

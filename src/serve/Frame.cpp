@@ -49,18 +49,24 @@ const char *serve::rejectName(Reject R) {
 
 namespace {
 
-void put8(std::vector<uint8_t> &B, uint8_t V) { B.push_back(V); }
-
-void put32(std::vector<uint8_t> &B, uint32_t V) {
-  B.push_back(static_cast<uint8_t>(V));
-  B.push_back(static_cast<uint8_t>(V >> 8));
-  B.push_back(static_cast<uint8_t>(V >> 16));
-  B.push_back(static_cast<uint8_t>(V >> 24));
+// The encoders size a frame once and write its little-endian fields
+// through a cursor; each put returns the cursor past what it wrote.
+uint8_t *put8(uint8_t *P, uint8_t V) {
+  *P = V;
+  return P + 1;
 }
 
-void put64(std::vector<uint8_t> &B, uint64_t V) {
-  put32(B, static_cast<uint32_t>(V));
-  put32(B, static_cast<uint32_t>(V >> 32));
+uint8_t *put32(uint8_t *P, uint32_t V) {
+  P[0] = static_cast<uint8_t>(V);
+  P[1] = static_cast<uint8_t>(V >> 8);
+  P[2] = static_cast<uint8_t>(V >> 16);
+  P[3] = static_cast<uint8_t>(V >> 24);
+  return P + 4;
+}
+
+uint8_t *put64(uint8_t *P, uint64_t V) {
+  P = put32(P, static_cast<uint32_t>(V));
+  return put32(P, static_cast<uint32_t>(V >> 32));
 }
 
 uint32_t get32(const uint8_t *P) {
@@ -85,25 +91,26 @@ uint32_t frameChecksum(const uint8_t *Frame, size_t Size) {
   return H;
 }
 
-void putHeader(std::vector<uint8_t> &B, Opcode Op, uint32_t Session,
-               uint32_t FrameSeq, uint32_t PayloadLen) {
-  put8(B, FrameCodec::Magic0);
-  put8(B, FrameCodec::Magic1);
-  put8(B, FrameCodec::Version);
-  put8(B, static_cast<uint8_t>(Op));
-  put32(B, Session);
-  put32(B, FrameSeq);
-  put32(B, PayloadLen);
-  put32(B, 0); // checksum backpatched by sealFrame once the payload is in
+/// Allocates a frame of \p PayloadLen payload bytes, writes its header
+/// with a zero checksum (sealFrame backpatches it once the payload is
+/// in), and returns the cursor at the payload.
+uint8_t *startFrame(std::vector<uint8_t> &B, Opcode Op, uint32_t Session,
+                    uint32_t FrameSeq, uint32_t PayloadLen) {
+  B.resize(FrameCodec::HeaderBytes + PayloadLen);
+  uint8_t *P = B.data();
+  P = put8(P, FrameCodec::Magic0);
+  P = put8(P, FrameCodec::Magic1);
+  P = put8(P, FrameCodec::Version);
+  P = put8(P, static_cast<uint8_t>(Op));
+  P = put32(P, Session);
+  P = put32(P, FrameSeq);
+  P = put32(P, PayloadLen);
+  return put32(P, 0);
 }
 
-/// Backpatches the checksum field after the payload has been appended.
+/// Backpatches the checksum field after the payload has been written.
 void sealFrame(std::vector<uint8_t> &B) {
-  uint32_t C = frameChecksum(B.data(), B.size());
-  B[16] = static_cast<uint8_t>(C);
-  B[17] = static_cast<uint8_t>(C >> 8);
-  B[18] = static_cast<uint8_t>(C >> 16);
-  B[19] = static_cast<uint8_t>(C >> 24);
+  put32(B.data() + 16, frameChecksum(B.data(), B.size()));
 }
 
 constexpr size_t HelloPayloadBytes = 20;
@@ -114,12 +121,12 @@ constexpr size_t EndPayloadBytes = 8;
 
 std::vector<uint8_t> FrameCodec::encodeHello() const {
   std::vector<uint8_t> B;
-  B.reserve(HeaderBytes + HelloPayloadBytes);
-  putHeader(B, Opcode::Hello, Session, /*FrameSeq=*/0, HelloPayloadBytes);
-  put32(B, Prog->numThreads());
-  put32(B, Prog->MemoryWords);
-  put32(B, static_cast<uint32_t>(Prog->Mutexes.size()));
-  put64(B, Prog->numInstructions());
+  uint8_t *P = startFrame(B, Opcode::Hello, Session, /*FrameSeq=*/0,
+                          HelloPayloadBytes);
+  P = put32(P, Prog->numThreads());
+  P = put32(P, Prog->MemoryWords);
+  P = put32(P, static_cast<uint32_t>(Prog->Mutexes.size()));
+  put64(P, Prog->numInstructions());
   sealFrame(B);
   return B;
 }
@@ -128,20 +135,19 @@ std::vector<uint8_t> FrameCodec::encodeEvents(const trace::TraceEvent *Events,
                                               size_t Count,
                                               uint32_t FrameSeq) const {
   std::vector<uint8_t> B;
-  B.reserve(HeaderBytes + Count * EventBytes);
-  putHeader(B, Opcode::Events, Session, FrameSeq,
-            static_cast<uint32_t>(Count * EventBytes));
+  uint8_t *P = startFrame(B, Opcode::Events, Session, FrameSeq,
+                          static_cast<uint32_t>(Count * EventBytes));
   for (size_t I = 0; I < Count; ++I) {
     const trace::TraceEvent &E = Events[I];
-    put64(B, E.Seq);
-    put32(B, E.Tid);
-    put32(B, E.Pc);
-    put8(B, static_cast<uint8_t>(E.Kind));
-    put32(B, E.Address);
-    put64(B, static_cast<uint64_t>(E.Value));
-    put8(B, E.Taken ? 1 : 0);
-    put32(B, E.Target);
-    put32(B, E.MutexId);
+    P = put64(P, E.Seq);
+    P = put32(P, E.Tid);
+    P = put32(P, E.Pc);
+    P = put8(P, static_cast<uint8_t>(E.Kind));
+    P = put32(P, E.Address);
+    P = put64(P, static_cast<uint64_t>(E.Value));
+    P = put8(P, E.Taken ? 1 : 0);
+    P = put32(P, E.Target);
+    P = put32(P, E.MutexId);
   }
   sealFrame(B);
   return B;
@@ -152,11 +158,11 @@ std::vector<uint8_t> FrameCodec::encodeShed(uint32_t FrameSeq,
                                             uint32_t Epoch,
                                             uint64_t DroppedEvents) const {
   std::vector<uint8_t> B;
-  B.reserve(HeaderBytes + ShedPayloadBytes);
-  putHeader(B, Opcode::Shed, Session, FrameSeq, ShedPayloadBytes);
-  put32(B, SpanFrames);
-  put32(B, Epoch);
-  put64(B, DroppedEvents);
+  uint8_t *P =
+      startFrame(B, Opcode::Shed, Session, FrameSeq, ShedPayloadBytes);
+  P = put32(P, SpanFrames);
+  P = put32(P, Epoch);
+  put64(P, DroppedEvents);
   sealFrame(B);
   return B;
 }
@@ -164,9 +170,8 @@ std::vector<uint8_t> FrameCodec::encodeShed(uint32_t FrameSeq,
 std::vector<uint8_t> FrameCodec::encodeEnd(uint32_t FrameSeq,
                                            uint64_t TotalEvents) const {
   std::vector<uint8_t> B;
-  B.reserve(HeaderBytes + EndPayloadBytes);
-  putHeader(B, Opcode::End, Session, FrameSeq, EndPayloadBytes);
-  put64(B, TotalEvents);
+  uint8_t *P = startFrame(B, Opcode::End, Session, FrameSeq, EndPayloadBytes);
+  put64(P, TotalEvents);
   sealFrame(B);
   return B;
 }

@@ -456,8 +456,11 @@ void runAttempt(SessionState &S, const ServeConfig &Cfg, uint32_t Attempt,
     // Producer phase: push frames unless backing off.
     if (Tick >= BackoffUntil) {
       for (uint32_t P = 0; P < PushPerTick && Cursor < S.Wire.size(); ++P) {
-        std::vector<uint8_t> Copy = S.Wire[Cursor].Bytes;
-        if (Ring.tryPush(std::move(Copy))) {
+        // The wire keeps its bytes (a re-admission replays it from
+        // the start), so the ring gets a copy, made only when there is
+        // room for it rather than thrown away on WouldBlock.
+        if (!Ring.full() &&
+            Ring.tryPush(std::vector<uint8_t>(S.Wire[Cursor].Bytes))) {
           ++Cursor;
           ConsecutiveBlocks = 0;
           BackoffExp = 0;

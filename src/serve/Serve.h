@@ -110,7 +110,7 @@ struct ServeConfig {
   /// Worker threads for the shard fan-out (0 = hardware default). Shard
   /// loops never share mutable state, so any value is report-invariant.
   unsigned Jobs = 1;
-  /// Ring capacity in frames; must be a power of two.
+  /// Ring capacity in frames, rounded up to a power of two (at least 2).
   size_t RingCapacity = 8;
   /// Events per wire frame.
   uint32_t EventsPerFrame = 256;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 
 using namespace svd;
@@ -129,6 +131,33 @@ TEST(CuPartition, SharedWritesRecorded) {
   EXPECT_TRUE(Found);
 }
 
+TEST(CuPartition, SharedWritesAscendingAndUnique) {
+  // One CU stores h, g, then h again (all shared): its shVars set lists
+  // each word once, in address order.
+  isa::Program P = assembleOrDie(R"(
+.global g
+.global h
+.thread a
+  li r1, 3
+  st r1, [@h]
+  st r1, [@g]
+  st r1, [@h]
+  halt
+.thread b
+  ld r8, [@g]
+  ld r9, [@h]
+  halt
+)");
+  ProgramTrace T = recordWithPrefix(P, sched({{0, 5}, {1, 3}}));
+  CuPartition CUs = partitionOf(T);
+  ASSERT_NE(CUs.unitOf(1), CuPartition::NoUnit);
+  const ComputationalUnit &U = CUs.units()[CUs.unitOf(1)];
+  EXPECT_EQ(U.Events.size(), 4u);
+  std::vector<isa::Addr> Want = {P.addressOf("g"), P.addressOf("h")};
+  std::sort(Want.begin(), Want.end());
+  EXPECT_EQ(U.SharedWrites, Want);
+}
+
 TEST(CuPartition, ControlDependenceConnectsBody) {
   isa::Program P = assembleOrDie(R"(
 .thread t
@@ -239,4 +268,131 @@ TEST(CuPartition, MeanUnitSizeEmptyTraceIsZero) {
   ProgramTrace T = recordRun(P);
   CuPartition CUs = partitionOf(T);
   EXPECT_EQ(CUs.meanUnitSize(), 0.0);
+}
+
+//===----------------------------------------------------------------------===//
+// Storage differential: the flat union-find against the std::set /
+// std::map one it replaced.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Figure 5 with per-event std::set shVars, a std::map from root to unit
+/// and per-event incoming-arc vectors: the storage CuPartition::compute
+/// replaced, kept here as the reference side.
+struct ReferencePartition {
+  std::vector<ComputationalUnit> Units;
+  std::vector<uint32_t> EventUnit;
+};
+
+ReferencePartition referencePartition(const ProgramTrace &T,
+                                      const pdg::DynamicPdg &G) {
+  size_t N = T.size();
+  std::vector<std::vector<uint32_t>> Incoming(N);
+  for (uint32_t I = 0; I < G.arcs().size(); ++I)
+    Incoming[G.arcs()[I].To].push_back(I);
+
+  std::vector<uint32_t> Parent(N);
+  std::vector<bool> Active(N, false);
+  std::vector<std::set<isa::Addr>> ShVars(N);
+  for (uint32_t I = 0; I < N; ++I)
+    Parent[I] = I;
+  auto Find = [&](uint32_t X) {
+    while (Parent[X] != X)
+      X = Parent[X] = Parent[Parent[X]];
+    return X;
+  };
+  auto Merge = [&](uint32_t A, uint32_t B) {
+    A = Find(A);
+    B = Find(B);
+    if (A == B)
+      return;
+    if (ShVars[A].size() < ShVars[B].size())
+      std::swap(A, B);
+    Parent[B] = A;
+    Active[A] = Active[A] || Active[B];
+    ShVars[A].insert(ShVars[B].begin(), ShVars[B].end());
+    ShVars[B].clear();
+  };
+  auto IsStatement = [](const trace::TraceEvent &E) {
+    return E.Kind == EventKind::Load || E.Kind == EventKind::Store ||
+           E.Kind == EventKind::Alu || E.Kind == EventKind::Branch;
+  };
+
+  for (uint32_t E = 0; E < N; ++E) {
+    const trace::TraceEvent &Ev = T[E];
+    if (!IsStatement(Ev))
+      continue;
+    if (Ev.Kind == EventKind::Load)
+      for (uint32_t ArcIdx : Incoming[E]) {
+        const pdg::DepArc &A = G.arcs()[ArcIdx];
+        if (A.Kind == pdg::DepKind::Conflict)
+          continue;
+        uint32_t Root = Find(A.From);
+        if (Active[Root] && ShVars[Root].count(Ev.Address))
+          Active[Root] = false;
+      }
+    for (uint32_t ArcIdx : Incoming[E]) {
+      const pdg::DepArc &A = G.arcs()[ArcIdx];
+      if (A.Kind != pdg::DepKind::Conflict && Active[Find(A.From)])
+        Merge(E, A.From);
+    }
+    Active[Find(E)] = true;
+    if (Ev.Kind == EventKind::Store && T.isSharedAddress(Ev.Address))
+      ShVars[Find(E)].insert(Ev.Address);
+  }
+
+  ReferencePartition Out;
+  Out.EventUnit.assign(N, CuPartition::NoUnit);
+  std::map<uint32_t, uint32_t> RootToUnit;
+  for (uint32_t E = 0; E < N; ++E) {
+    if (!IsStatement(T[E]))
+      continue;
+    auto [It, Fresh] = RootToUnit.try_emplace(
+        Find(E), static_cast<uint32_t>(Out.Units.size()));
+    if (Fresh) {
+      ComputationalUnit U;
+      U.Id = It->second;
+      U.Tid = T[E].Tid;
+      U.BeginSeq = T[E].Seq;
+      Out.Units.push_back(std::move(U));
+    }
+    ComputationalUnit &U = Out.Units[It->second];
+    U.Events.push_back(E);
+    U.EndSeq = std::max(U.EndSeq, T[E].Seq);
+    Out.EventUnit[E] = U.Id;
+  }
+  for (auto &[Root, Unit] : RootToUnit)
+    Out.Units[Unit].SharedWrites.assign(ShVars[Root].begin(),
+                                        ShVars[Root].end());
+  return Out;
+}
+
+} // namespace
+
+TEST(CuPartition, MatchesSetAndMapReference) {
+  testutil::forEachCorpusTrace([](const std::string &Label,
+                                  const ProgramTrace &T) {
+    SCOPED_TRACE(Label);
+    pdg::DynamicPdg G = pdg::DynamicPdg::build(T);
+    CuPartition CUs = CuPartition::compute(T, G);
+    ReferencePartition Want = referencePartition(T, G);
+    ASSERT_EQ(CUs.units().size(), Want.Units.size());
+    size_t SharedWriters = 0;
+    for (size_t I = 0; I < Want.Units.size(); ++I) {
+      const ComputationalUnit &A = CUs.units()[I];
+      const ComputationalUnit &B = Want.Units[I];
+      ASSERT_EQ(A.Id, B.Id) << "unit " << I;
+      EXPECT_EQ(A.Tid, B.Tid) << "unit " << I;
+      EXPECT_EQ(A.Events, B.Events) << "unit " << I;
+      EXPECT_EQ(A.BeginSeq, B.BeginSeq) << "unit " << I;
+      EXPECT_EQ(A.EndSeq, B.EndSeq) << "unit " << I;
+      EXPECT_EQ(A.SharedWrites, B.SharedWrites) << "unit " << I;
+      SharedWriters += !B.SharedWrites.empty();
+    }
+    for (uint32_t E = 0; E < T.size(); ++E)
+      ASSERT_EQ(CUs.unitOf(E), Want.EventUnit[E]) << "event " << E;
+    // The corpus must exercise the shVars payload, not just the ids.
+    EXPECT_GT(SharedWriters, 0u);
+  });
 }

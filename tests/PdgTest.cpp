@@ -1,6 +1,7 @@
 //===- tests/PdgTest.cpp - Unit tests for d-PDG construction --------------===//
 
 #include "TestUtil.h"
+#include "isa/Cfg.h"
 #include "pdg/Pdg.h"
 
 #include <gtest/gtest.h>
@@ -317,4 +318,131 @@ TEST(Pdg, ArcsPointForward) {
     else
       EXPECT_EQ(T[A.From].Tid, T[A.To].Tid);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Storage differential: the CSR arc store and the paged per-word tables
+// against a dense reference build.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The d-PDG arcs of \p T from dense per-word tables (one int64 per word
+/// per thread, one read list per word): the storage DynamicPdg::build
+/// replaced with shadow pages, kept here as the reference side.
+std::vector<DepArc> referenceArcs(const ProgramTrace &T) {
+  const isa::Program &P = T.program();
+  uint32_t NumThreads = P.numThreads();
+  constexpr int64_t None = -1;
+  std::vector<std::vector<int64_t>> LastRegWriter(
+      NumThreads, std::vector<int64_t>(isa::NumRegs, None));
+  std::vector<std::vector<int64_t>> LastLocalStore(
+      NumThreads, std::vector<int64_t>(P.MemoryWords, None));
+  std::vector<int64_t> LastWrite(P.MemoryWords, None);
+  std::vector<std::vector<uint32_t>> ReadsSinceWrite(P.MemoryWords);
+  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> CtrlStack(
+      NumThreads);
+  std::vector<isa::ThreadCfg> Cfgs;
+  for (uint32_t Tid = 0; Tid < NumThreads; ++Tid)
+    Cfgs.emplace_back(P.Threads[Tid].Code);
+
+  std::vector<DepArc> Arcs;
+  auto Add = [&](int64_t From, uint32_t To, DepKind K, bool ViaMemory,
+                 isa::Addr A) {
+    Arcs.push_back({static_cast<uint32_t>(From), To, K, ViaMemory, A});
+  };
+  for (uint32_t E = 0; E < T.size(); ++E) {
+    const trace::TraceEvent &Ev = T[E];
+    uint32_t Tid = Ev.Tid;
+    if (Ev.Kind == EventKind::Lock || Ev.Kind == EventKind::Unlock ||
+        Ev.Kind == EventKind::ThreadEnd)
+      continue;
+    auto &Stack = CtrlStack[Tid];
+    while (!Stack.empty() && Stack.back().second == Ev.Pc)
+      Stack.pop_back();
+    if (!Stack.empty())
+      Add(Stack.back().first, E, DepKind::Control, false, 0);
+    const isa::Instruction &I = *Ev.Instr;
+    if (isa::readsRa(I.Op) && I.Ra != isa::ZeroReg &&
+        LastRegWriter[Tid][I.Ra] != None)
+      Add(LastRegWriter[Tid][I.Ra], E, DepKind::TrueLocal, false, 0);
+    if (isa::readsRb(I.Op) && I.Rb != isa::ZeroReg &&
+        LastRegWriter[Tid][I.Rb] != None)
+      Add(LastRegWriter[Tid][I.Rb], E, DepKind::TrueLocal, false, 0);
+    isa::Addr A = Ev.Address;
+    if (Ev.Kind == EventKind::Load) {
+      if (LastLocalStore[Tid][A] != None)
+        Add(LastLocalStore[Tid][A], E,
+            T.isSharedAddress(A) ? DepKind::TrueShared : DepKind::TrueLocal,
+            true, A);
+      if (LastWrite[A] != None && T[LastWrite[A]].Tid != Tid)
+        Add(LastWrite[A], E, DepKind::Conflict, true, A);
+      ReadsSinceWrite[A].push_back(E);
+    } else if (Ev.Kind == EventKind::Store) {
+      if (LastWrite[A] != None && T[LastWrite[A]].Tid != Tid)
+        Add(LastWrite[A], E, DepKind::Conflict, true, A);
+      for (uint32_t R : ReadsSinceWrite[A])
+        if (T[R].Tid != Tid)
+          Add(R, E, DepKind::Conflict, true, A);
+      ReadsSinceWrite[A].clear();
+      LastWrite[A] = E;
+      LastLocalStore[Tid][A] = E;
+    } else if (Ev.Kind == EventKind::Branch &&
+               isa::isConditionalBranch(I.Op)) {
+      Stack.push_back({E, Cfgs[Tid].preciseReconvergence(Ev.Pc)});
+    }
+    if (isa::writesRd(I.Op) && I.Rd != isa::ZeroReg)
+      LastRegWriter[Tid][I.Rd] = E;
+  }
+  return Arcs;
+}
+
+} // namespace
+
+TEST(Pdg, ArcsMatchDenseReferenceBuild) {
+  testutil::forEachCorpusTrace([](const std::string &Label,
+                                  const ProgramTrace &T) {
+    SCOPED_TRACE(Label);
+    DynamicPdg G = DynamicPdg::build(T);
+    std::vector<DepArc> Want = referenceArcs(T);
+    ASSERT_EQ(G.arcs().size(), Want.size());
+    for (size_t I = 0; I < Want.size(); ++I) {
+      const DepArc &A = G.arcs()[I];
+      const DepArc &B = Want[I];
+      ASSERT_TRUE(A.From == B.From && A.To == B.To && A.Kind == B.Kind &&
+                  A.ViaMemory == B.ViaMemory && A.Address == B.Address)
+          << "arc " << I << ": " << A.From << "->" << A.To << " "
+          << depKindName(A.Kind) << ", want " << B.From << "->" << B.To
+          << " " << depKindName(B.Kind);
+    }
+  });
+}
+
+TEST(Pdg, IncomingRangesHoldExactlyTheArcsEndingThere) {
+  testutil::forEachCorpusTrace([](const std::string &Label,
+                                  const ProgramTrace &T) {
+    SCOPED_TRACE(Label);
+    DynamicPdg G = DynamicPdg::build(T);
+    ASSERT_EQ(G.numEvents(), T.size());
+    // Expected: every arc index, grouped by To, in arcs() order.
+    std::vector<std::vector<uint32_t>> Want(T.size());
+    for (uint32_t I = 0; I < G.arcs().size(); ++I)
+      Want[G.arcs()[I].To].push_back(I);
+    size_t Covered = 0;
+    for (uint32_t E = 0; E < T.size(); ++E) {
+      std::vector<uint32_t> Got(G.incoming(E).begin(), G.incoming(E).end());
+      ASSERT_EQ(Got, Want[E]) << "event " << E;
+      Covered += Got.size();
+    }
+    EXPECT_EQ(Covered, G.arcs().size());
+  });
+}
+
+TEST(Pdg, EmptyTraceHasNoEventsOrArcs) {
+  isa::Program P = assembleOrDie(".thread t\n  halt\n");
+  ProgramTrace T(P);
+  DynamicPdg G = DynamicPdg::build(T);
+  EXPECT_EQ(G.numEvents(), 0u);
+  EXPECT_TRUE(G.arcs().empty());
+  EXPECT_EQ(DynamicPdg().numEvents(), 0u);
 }

@@ -155,6 +155,49 @@ TEST(ServeCodec, EventsRoundTripPreservesEveryField) {
   }
 }
 
+TEST(ServeCodec, EventsFrameBytesAreStable) {
+  // The round trips above would pass an encoder and decoder that drift
+  // together; this pins the wire bytes themselves, checksum included.
+  isa::Program P = testProgram();
+  FrameCodec C(P, 0xA1B2C3D4u);
+  trace::TraceEvent Events[2];
+  Events[0].Seq = 0x100000002ULL;
+  Events[0].Tid = 1;
+  Events[0].Pc = 2; // ld r2, [@g]
+  Events[0].Kind = trace::EventKind::Load;
+  Events[0].Value = -2;
+  Events[1].Seq = 0x100000003ULL;
+  Events[1].Tid = 0;
+  Events[1].Pc = 6; // beqz r0, end
+  Events[1].Kind = trace::EventKind::Branch;
+  Events[1].Value = 0x1122334455667788LL;
+  Events[1].Taken = true;
+  Events[1].Target = 7;
+  const std::vector<uint8_t> Want = {
+      // header: magic, version, opcode, session, frameseq, payload_len,
+      // checksum (FNV-1a)
+      0x53, 0x56, 0x01, 0x02, 0xd4, 0xc3, 0xb2, 0xa1, 0x04, 0x03, 0x02,
+      0x01, 0x4c, 0x00, 0x00, 0x00, 0x7b, 0x56, 0x7a, 0xcb,
+      // event 0: seq, tid, pc, kind, addr, value, taken, target, mutex
+      0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+      0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xfe,
+      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00,
+      // event 1
+      0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x06, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x88,
+      0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, 0x01, 0x07, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00,
+  };
+  EXPECT_EQ(C.encodeEvents(Events, 2, 0x01020304u), Want);
+  DecodedFrame Out;
+  DecodeResult R = C.decode(Want, 0, Out);
+  ASSERT_TRUE(R.Ok) << R.Detail;
+  ASSERT_EQ(Out.Events.size(), 2u);
+  EXPECT_EQ(Out.Events[0].Value, -2);
+  EXPECT_EQ(Out.Events[1].Target, 7u);
+}
+
 TEST(ServeCodec, ShedAndEndRoundTrip) {
   isa::Program P = testProgram();
   FrameCodec C(P, 9);

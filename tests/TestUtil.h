@@ -3,11 +3,14 @@
 #ifndef SVD_TESTS_TESTUTIL_H
 #define SVD_TESTS_TESTUTIL_H
 
+#include "harness/Suites.h"
 #include "isa/Assembler.h"
 #include "trace/Trace.h"
 #include "vm/Machine.h"
+#include "workloads/Workloads.h"
 
 #include <initializer_list>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -56,6 +59,27 @@ recordWithPrefix(const isa::Program &P,
   M.clearReplaySchedule();
   M.run();
   return R.takeTrace();
+}
+
+/// Calls \p Fn(Label, Trace) over the offline back end's differential
+/// corpus: seeded random lock-based programs (correct, and with locks
+/// omitted) and the serve-suite programs, each recorded at three
+/// scheduler seeds.
+template <typename F> void forEachCorpusTrace(F Fn) {
+  std::vector<workloads::Workload> Ws = harness::suiteWorkloads("serve");
+  for (uint64_t Seed = 1; Seed <= 4; ++Seed) {
+    workloads::RandomParams R;
+    R.Seed = Seed * 17 + 3;
+    R.OmitLockProbability = Seed % 2 ? 0.3 : 0.0;
+    Ws.push_back(workloads::randomWorkload(R));
+  }
+  for (size_t W = 0; W < Ws.size(); ++W)
+    for (uint64_t Seed : {1, 7, 42}) {
+      trace::ProgramTrace T = recordRun(Ws[W].Program, Seed);
+      Fn(Ws[W].Name + "#" + std::to_string(W) + "/seed " +
+             std::to_string(Seed),
+         T);
+    }
 }
 
 } // namespace testutil
