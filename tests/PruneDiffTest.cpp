@@ -3,10 +3,12 @@
 // The prove-and-prune soundness contract, tested differentially: for
 // every workload of every paper suite (table1/table2/sec73/fig1/
 // predict), under multiple seeds and timeslice regimes, and under the
-// chaos fault-plan matrix of PR 5, an OnlineSvd running with the static
+// chaos fault-plan matrix, an OnlineSvd running with the static
 // CU atomicity proofs wired in must produce a violation report stream
 // BYTE-IDENTICAL to an unpruned OnlineSvd observing the very same
-// execution. Both detectors ride one vm::Machine, so the interleaving
+// execution. The same holds for a HardwareSvd pair (one CPU per thread,
+// the same cache geometry), whose filter and prune path is the shared
+// CU core's. All detectors ride one vm::Machine, so the interleaving
 // is shared by construction and any divergence is the pruning's fault.
 //
 // Scope: violation reports (and their true/false classification) are
@@ -21,6 +23,7 @@
 #include "analysis/AtomicProof.h"
 #include "fault/Fault.h"
 #include "harness/Suites.h"
+#include "svd/HardwareSvd.h"
 #include "svd/OnlineSvd.h"
 #include "vm/Machine.h"
 #include "workloads/Workloads.h"
@@ -41,11 +44,32 @@ bool sameViolation(const detect::Violation &A, const detect::Violation &B) {
 struct DiffResult {
   uint64_t Events = 0;
   uint64_t Pruned = 0;
+  uint64_t HwPruned = 0;
 };
 
-/// Runs \p W once under \p MC with a full and a pruned OnlineSvd on the
-/// SAME machine and asserts report equivalence. Returns the pruned
-/// detector's counters so callers can assert pruning actually engaged.
+/// Asserts that \p VP (pruned) matches \p VF (full) report for report,
+/// true/false classification included.
+void expectSameReports(const workloads::Workload &W,
+                       const std::vector<detect::Violation> &VF,
+                       const std::vector<detect::Violation> &VP,
+                       const std::string &Ctx) {
+  EXPECT_EQ(VF.size(), VP.size()) << Ctx;
+  for (size_t I = 0; I < VF.size() && I < VP.size(); ++I) {
+    EXPECT_TRUE(sameViolation(VF[I], VP[I]))
+        << Ctx << ": violation " << I << " diverged: full {seq " << VF[I].Seq
+        << " t" << unsigned(VF[I].Tid) << " pc " << VF[I].Pc << "} pruned {seq "
+        << VP[I].Seq << " t" << unsigned(VP[I].Tid) << " pc " << VP[I].Pc
+        << "}";
+    // True-report classification is part of the contract: pruning must
+    // not reclassify a finding.
+    EXPECT_EQ(W.isTrueReport(VF[I]), W.isTrueReport(VP[I])) << Ctx;
+  }
+}
+
+/// Runs \p W once under \p MC with a full and a pruned OnlineSvd, and a
+/// full and a pruned HardwareSvd, on the SAME machine and asserts
+/// report equivalence within each pair. Returns the pruned detectors'
+/// counters so callers can assert pruning actually engaged.
 /// \p Proofs/\p Table belong to the caller (shared across runs).
 DiffResult runDiff(const workloads::Workload &W, vm::MachineConfig MC,
                    const analysis::AccessTable &Table,
@@ -61,8 +85,19 @@ DiffResult runDiff(const workloads::Workload &W, vm::MachineConfig MC,
   PrunedCfg.Proofs = &Proofs;
   detect::OnlineSvd Pruned(W.Program, PrunedCfg);
 
+  detect::HardwareSvdConfig HwFullCfg;
+  HwFullCfg.Cache.NumCpus = W.Program.numThreads();
+  detect::HardwareSvd HwFull(W.Program, HwFullCfg);
+
+  detect::HardwareSvdConfig HwPrunedCfg = HwFullCfg;
+  HwPrunedCfg.Access = &Table;
+  HwPrunedCfg.Proofs = &Proofs;
+  detect::HardwareSvd HwPruned(W.Program, HwPrunedCfg);
+
   M.addObserver(&Full);
   M.addObserver(&Pruned);
+  M.addObserver(&HwFull);
+  M.addObserver(&HwPruned);
   // A fault plan may crash the run mid-sample; both observers saw the
   // same prefix, so the comparison below is still exact.
   try {
@@ -70,21 +105,22 @@ DiffResult runDiff(const workloads::Workload &W, vm::MachineConfig MC,
   } catch (const fault::InjectedCrash &) {
   }
 
-  const std::vector<detect::Violation> &VF = Full.violations();
-  const std::vector<detect::Violation> &VP = Pruned.violations();
-  EXPECT_EQ(VF.size(), VP.size()) << Ctx;
-  for (size_t I = 0; I < VF.size() && I < VP.size(); ++I) {
-    EXPECT_TRUE(sameViolation(VF[I], VP[I]))
-        << Ctx << ": violation " << I << " diverged: full {seq " << VF[I].Seq
-        << " t" << unsigned(VF[I].Tid) << " pc " << VF[I].Pc << "} pruned {seq "
-        << VP[I].Seq << " t" << unsigned(VP[I].Tid) << " pc " << VP[I].Pc
-        << "}";
-    // True-report classification is part of the contract: pruning must
-    // not reclassify a finding.
-    EXPECT_EQ(W.isTrueReport(VF[I]), W.isTrueReport(VP[I])) << Ctx;
-  }
+  expectSameReports(W, Full.violations(), Pruned.violations(), Ctx);
+  expectSameReports(W, HwFull.violations(), HwPruned.violations(),
+                    Ctx + " (hwsvd)");
+  // The hardware fast path still drives the cache (the coherence stream
+  // is part of the machine model), so both caches saw the same accesses.
+  const cache::CacheStats &CF = HwFull.cacheStats();
+  const cache::CacheStats &CP = HwPruned.cacheStats();
+  EXPECT_TRUE(CF.Accesses == CP.Accesses && CF.Misses == CP.Misses &&
+              CF.Evictions == CP.Evictions &&
+              CF.Invalidations == CP.Invalidations &&
+              CF.Downgrades == CP.Downgrades)
+      << Ctx << " (hwsvd): pruned cache stream diverged";
+
   DiffResult R;
   R.Pruned = Pruned.prunedAccesses();
+  R.HwPruned = HwPruned.prunedAccesses();
   R.Events = M.steps();
   return R;
 }
@@ -174,6 +210,7 @@ TEST(PruneDiff, ShowcaseWorkloadsPruneNonzero) {
     Statics S(W.Program);
     DiffResult R = runDiff(W, configFor(5, 1, 4), S.Table, S.Proofs, W.Name);
     EXPECT_GT(R.Pruned, 0u) << W.Name;
+    EXPECT_GT(R.HwPruned, 0u) << W.Name << " (hwsvd)";
     TotalPruned += R.Pruned;
   }
   EXPECT_GT(TotalPruned, 0u);
