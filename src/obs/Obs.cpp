@@ -143,6 +143,10 @@ bool obs::isDocumentedKey(const std::string &Name) {
       "serve.sessions_poisoned",
       "serve.sessions_shed",
       "serve.shards",
+      "serve.stage.detect",
+      "serve.stage.encode",
+      "serve.stage.produce",
+      "serve.stage.stream",
       "serve.stall_ticks",
       "serve.ticks",
       "svd.cu_pruned_events",

@@ -4,6 +4,13 @@
 
 #include "support/StringUtils.h"
 
+#include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 using namespace svd;
 using namespace svd::serve;
 
@@ -80,18 +87,39 @@ uint64_t get64(const uint8_t *P) {
          (static_cast<uint64_t>(get32(P + 4)) << 32);
 }
 
-/// FNV-1a 32-bit over the first 16 header bytes and the payload. The
-/// checksum field itself (header bytes 16..19) is excluded.
-uint32_t frameChecksum(const uint8_t *Frame, size_t Size) {
-  uint32_t H = 0x811c9dc5u;
-  for (size_t I = 0; I < 16 && I < Size; ++I)
-    H = (H ^ Frame[I]) * 0x01000193u;
-  for (size_t I = FrameCodec::HeaderBytes; I < Size; ++I)
-    H = (H ^ Frame[I]) * 0x01000193u;
-  return H;
+/// CRC32C, reflected: the polynomial 0x1EDC6F41 bit-reversed.
+constexpr uint32_t Crc32cPoly = 0x82F63B78u;
+
+/// Slicing-by-8 tables: Crc32cTables[0] is the byte-at-a-time table,
+/// and Crc32cTables[K][B] is the CRC of byte B followed by K zero bytes.
+constexpr std::array<std::array<uint32_t, 256>, 8> makeCrc32cTables() {
+  std::array<std::array<uint32_t, 256>, 8> T{};
+  for (uint32_t B = 0; B < 256; ++B) {
+    uint32_t C = B;
+    for (int I = 0; I < 8; ++I)
+      C = (C >> 1) ^ (Crc32cPoly & (0u - (C & 1)));
+    T[0][B] = C;
+  }
+  for (size_t K = 1; K < 8; ++K)
+    for (uint32_t B = 0; B < 256; ++B)
+      T[K][B] = (T[K - 1][B] >> 8) ^ T[0][T[K - 1][B] & 0xff];
+  return T;
 }
 
-/// Allocates a frame of \p PayloadLen payload bytes, writes its header
+constexpr std::array<std::array<uint32_t, 256>, 8> Crc32cTables =
+    makeCrc32cTables();
+
+/// CRC32C over the first 16 header bytes and the payload. The checksum
+/// field itself (header bytes 16..19) is excluded.
+uint32_t frameChecksum(const uint8_t *Frame, size_t Size) {
+  uint32_t C = crc32c(0, Frame, Size < 16 ? Size : 16);
+  if (Size > FrameCodec::HeaderBytes)
+    C = crc32c(C, Frame + FrameCodec::HeaderBytes,
+               Size - FrameCodec::HeaderBytes);
+  return C;
+}
+
+/// Sizes \p B to a frame of \p PayloadLen payload bytes, writes its header
 /// with a zero checksum (sealFrame backpatches it once the payload is
 /// in), and returns the cursor at the payload.
 uint8_t *startFrame(std::vector<uint8_t> &B, Opcode Op, uint32_t Session,
@@ -119,23 +147,78 @@ constexpr size_t EndPayloadBytes = 8;
 
 } // namespace
 
-std::vector<uint8_t> FrameCodec::encodeHello() const {
-  std::vector<uint8_t> B;
-  uint8_t *P = startFrame(B, Opcode::Hello, Session, /*FrameSeq=*/0,
+uint32_t serve::crc32cTable(uint32_t Crc, const uint8_t *Data, size_t Size) {
+  const auto &T = Crc32cTables;
+  uint32_t C = ~Crc;
+  for (; Size >= 8; Data += 8, Size -= 8) {
+    uint32_t Lo = get32(Data) ^ C;
+    uint32_t Hi = get32(Data + 4);
+    C = T[7][Lo & 0xff] ^ T[6][(Lo >> 8) & 0xff] ^ T[5][(Lo >> 16) & 0xff] ^
+        T[4][Lo >> 24] ^ T[3][Hi & 0xff] ^ T[2][(Hi >> 8) & 0xff] ^
+        T[1][(Hi >> 16) & 0xff] ^ T[0][Hi >> 24];
+  }
+  for (; Size != 0; ++Data, --Size)
+    C = T[0][(C ^ *Data) & 0xff] ^ (C >> 8);
+  return ~C;
+}
+
+#if defined(__x86_64__)
+
+bool serve::crc32cHardwareAvailable() {
+  static const bool Has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return Has;
+}
+
+__attribute__((target("sse4.2"))) uint32_t
+serve::crc32cHardware(uint32_t Crc, const uint8_t *Data, size_t Size) {
+  uint64_t C = ~Crc;
+  for (; Size >= 8; Data += 8, Size -= 8) {
+    uint64_t V;
+    std::memcpy(&V, Data, 8);
+    C = _mm_crc32_u64(C, V);
+  }
+  for (; Size != 0; ++Data, --Size)
+    C = _mm_crc32_u8(static_cast<uint32_t>(C), *Data);
+  return ~static_cast<uint32_t>(C);
+}
+
+uint32_t serve::crc32c(uint32_t Crc, const uint8_t *Data, size_t Size) {
+  return crc32cHardwareAvailable() ? crc32cHardware(Crc, Data, Size)
+                                   : crc32cTable(Crc, Data, Size);
+}
+
+#else
+
+bool serve::crc32cHardwareAvailable() { return false; }
+
+uint32_t serve::crc32cHardware(uint32_t Crc, const uint8_t *Data,
+                               size_t Size) {
+  return crc32cTable(Crc, Data, Size);
+}
+
+uint32_t serve::crc32c(uint32_t Crc, const uint8_t *Data, size_t Size) {
+  return crc32cTable(Crc, Data, Size);
+}
+
+#endif
+
+void FrameCodec::encodeHello(std::vector<uint8_t> &Out) const {
+  uint8_t *P = startFrame(Out, Opcode::Hello, Session, /*FrameSeq=*/0,
                           HelloPayloadBytes);
   P = put32(P, Prog->numThreads());
   P = put32(P, Prog->MemoryWords);
   P = put32(P, static_cast<uint32_t>(Prog->Mutexes.size()));
   put64(P, Prog->numInstructions());
-  sealFrame(B);
-  return B;
+  sealFrame(Out);
 }
 
-std::vector<uint8_t> FrameCodec::encodeEvents(const trace::TraceEvent *Events,
-                                              size_t Count,
-                                              uint32_t FrameSeq) const {
-  std::vector<uint8_t> B;
-  uint8_t *P = startFrame(B, Opcode::Events, Session, FrameSeq,
+void FrameCodec::encodeEvents(const trace::TraceEvent *Events, size_t Count,
+                              uint32_t FrameSeq,
+                              std::vector<uint8_t> &Out) const {
+  uint8_t *P = startFrame(Out, Opcode::Events, Session, FrameSeq,
                           static_cast<uint32_t>(Count * EventBytes));
   for (size_t I = 0; I < Count; ++I) {
     const trace::TraceEvent &E = Events[I];
@@ -149,31 +232,26 @@ std::vector<uint8_t> FrameCodec::encodeEvents(const trace::TraceEvent *Events,
     P = put32(P, E.Target);
     P = put32(P, E.MutexId);
   }
-  sealFrame(B);
-  return B;
+  sealFrame(Out);
 }
 
-std::vector<uint8_t> FrameCodec::encodeShed(uint32_t FrameSeq,
-                                            uint32_t SpanFrames,
-                                            uint32_t Epoch,
-                                            uint64_t DroppedEvents) const {
-  std::vector<uint8_t> B;
+void FrameCodec::encodeShed(uint32_t FrameSeq, uint32_t SpanFrames,
+                            uint32_t Epoch, uint64_t DroppedEvents,
+                            std::vector<uint8_t> &Out) const {
   uint8_t *P =
-      startFrame(B, Opcode::Shed, Session, FrameSeq, ShedPayloadBytes);
+      startFrame(Out, Opcode::Shed, Session, FrameSeq, ShedPayloadBytes);
   P = put32(P, SpanFrames);
   P = put32(P, Epoch);
   put64(P, DroppedEvents);
-  sealFrame(B);
-  return B;
+  sealFrame(Out);
 }
 
-std::vector<uint8_t> FrameCodec::encodeEnd(uint32_t FrameSeq,
-                                           uint64_t TotalEvents) const {
-  std::vector<uint8_t> B;
-  uint8_t *P = startFrame(B, Opcode::End, Session, FrameSeq, EndPayloadBytes);
+void FrameCodec::encodeEnd(uint32_t FrameSeq, uint64_t TotalEvents,
+                           std::vector<uint8_t> &Out) const {
+  uint8_t *P =
+      startFrame(Out, Opcode::End, Session, FrameSeq, EndPayloadBytes);
   put64(P, TotalEvents);
-  sealFrame(B);
-  return B;
+  sealFrame(Out);
 }
 
 DecodeResult FrameCodec::decode(const uint8_t *Data, size_t Size,
@@ -233,10 +311,16 @@ DecodeResult FrameCodec::decode(const uint8_t *Data, size_t Size,
                               Actual));
   const uint8_t *P = Data + HeaderBytes;
 
-  Out = DecodedFrame();
+  // Field by field rather than a fresh DecodedFrame, so Events keeps
+  // its capacity from one frame to the next.
   Out.Op = Op;
   Out.Session = FrameSession;
   Out.FrameSeq = FrameSeq;
+  Out.Events.clear();
+  Out.ShedSpanFrames = 0;
+  Out.ShedEpoch = 0;
+  Out.ShedDroppedEvents = 0;
+  Out.EndTotalEvents = 0;
 
   switch (Op) {
   case Opcode::Hello: {

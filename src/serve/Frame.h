@@ -17,13 +17,17 @@
 ///
 /// Frame layout (all integers little-endian):
 ///
-///   header (20 bytes): 'S' 'V' version opcode session[4] frameseq[4]
-///                      payload_len[4] checksum[4]
-///   checksum: FNV-1a over the first 16 header bytes then the payload,
-///             so any in-flight byte flip — including in fields no
-///             analysis pass would otherwise validate, like an event's
-///             Value — downgrades to one classified reject instead of
-///             silently changing detection results.
+///   header (20 bytes): 'S' 'V' version(2) opcode session[4]
+///                      frameseq[4] payload_len[4] checksum[4]
+///   checksum: CRC32C (Castagnoli) over the first 16 header bytes then
+///             the payload, so any in-flight byte flip — including in
+///             fields no analysis pass would otherwise validate, like an
+///             event's Value — downgrades to one classified reject
+///             instead of silently changing detection results. CRC32C
+///             detects every error burst of up to 32 bits, and costs a
+///             few cycles per 8 bytes where the CPU has the crc32
+///             instruction (x86 SSE4.2); elsewhere a slicing-by-8 table
+///             computes the same value.
 ///   payload:
 ///     Hello  — threads[4] memory_words[4] mutexes[4] instructions[8]
 ///              (a program fingerprint; mismatch poisons the session)
@@ -80,6 +84,23 @@ enum class Reject : uint8_t {
   NonMonotonicSeq,  ///< event sequence breaks execution order
 };
 
+/// CRC32C (Castagnoli, reflected polynomial 0x82F63B78) of \p Size
+/// bytes at \p Data, continuing \p Crc: pass 0 to start, and the
+/// result of one call to continue over the next span (so
+/// crc32c(0, "123456789", 9) is 0xE3069283). Uses the crc32 instruction
+/// when the CPU has it, chosen once per process; otherwise the table.
+uint32_t crc32c(uint32_t Crc, const uint8_t *Data, size_t Size);
+
+/// The portable slicing-by-8 table path of crc32c; always available.
+uint32_t crc32cTable(uint32_t Crc, const uint8_t *Data, size_t Size);
+
+/// True when this CPU runs crc32cHardware.
+bool crc32cHardwareAvailable();
+
+/// The instruction path of crc32c. Call only when
+/// crc32cHardwareAvailable() holds.
+uint32_t crc32cHardware(uint32_t Crc, const uint8_t *Data, size_t Size);
+
 /// Number of distinct Reject values (for per-reason counters).
 inline constexpr size_t RejectCount =
     static_cast<size_t>(Reject::NonMonotonicSeq) + 1;
@@ -128,7 +149,7 @@ class FrameCodec {
 public:
   static constexpr uint8_t Magic0 = 'S';
   static constexpr uint8_t Magic1 = 'V';
-  static constexpr uint8_t Version = 1;
+  static constexpr uint8_t Version = 2;
   static constexpr size_t HeaderBytes = 20;
   static constexpr size_t EventBytes = 38;
   /// Hard frame-size limit: a length prefix admitting more than this
@@ -142,18 +163,47 @@ public:
   const isa::Program &program() const { return *Prog; }
   uint32_t sessionId() const { return Session; }
 
-  std::vector<uint8_t> encodeHello() const;
+  /// Each encoder writes one sealed frame into \p Out, replacing its
+  /// contents but keeping its capacity, so a producer that recycles its
+  /// buffers encodes without allocating. The value-returning forms
+  /// encode into a fresh buffer.
+  void encodeHello(std::vector<uint8_t> &Out) const;
+  void encodeEvents(const trace::TraceEvent *Events, size_t Count,
+                    uint32_t FrameSeq, std::vector<uint8_t> &Out) const;
+  void encodeShed(uint32_t FrameSeq, uint32_t SpanFrames, uint32_t Epoch,
+                  uint64_t DroppedEvents, std::vector<uint8_t> &Out) const;
+  void encodeEnd(uint32_t FrameSeq, uint64_t TotalEvents,
+                 std::vector<uint8_t> &Out) const;
+
+  std::vector<uint8_t> encodeHello() const {
+    std::vector<uint8_t> B;
+    encodeHello(B);
+    return B;
+  }
   std::vector<uint8_t> encodeEvents(const trace::TraceEvent *Events,
-                                    size_t Count, uint32_t FrameSeq) const;
+                                    size_t Count, uint32_t FrameSeq) const {
+    std::vector<uint8_t> B;
+    encodeEvents(Events, Count, FrameSeq, B);
+    return B;
+  }
   std::vector<uint8_t> encodeShed(uint32_t FrameSeq, uint32_t SpanFrames,
                                   uint32_t Epoch,
-                                  uint64_t DroppedEvents) const;
+                                  uint64_t DroppedEvents) const {
+    std::vector<uint8_t> B;
+    encodeShed(FrameSeq, SpanFrames, Epoch, DroppedEvents, B);
+    return B;
+  }
   std::vector<uint8_t> encodeEnd(uint32_t FrameSeq,
-                                 uint64_t TotalEvents) const;
+                                 uint64_t TotalEvents) const {
+    std::vector<uint8_t> B;
+    encodeEnd(FrameSeq, TotalEvents, B);
+    return B;
+  }
 
   /// Decodes one frame. \p MinSeq is the session's last ingested event
   /// sequence; the first event of the frame must not precede it (the
-  /// cross-frame half of the nondecreasing-Seq invariant). Never
+  /// cross-frame half of the nondecreasing-Seq invariant). \p Out keeps
+  /// the capacity of its Events from one call to the next. Never
   /// throws; every failure is a classified DecodeResult.
   DecodeResult decode(const uint8_t *Data, size_t Size, uint64_t MinSeq,
                       DecodedFrame &Out) const;

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <optional>
 #include <thread>
@@ -184,14 +185,57 @@ void resolveOutcome(SessionReport &R, bool HelloSeen, bool EndSeen,
     R.Diagnostic = R.DegradedReason;
 }
 
-/// One pre-generated wire frame plus the producer-side metadata the
-/// shedding policy needs (metadata describes the frame as generated,
-/// before any in-flight mangling).
-struct WireEntry {
-  std::vector<uint8_t> Bytes;
+/// One frame of a session's wire plan: what to encode from the recorded
+/// trace when the frame is pushed, and which in-flight fault to apply
+/// to its bytes. Re-encoding a plan entry gives the same bytes every
+/// time, so a quarantine re-admission replays the wire from the plan.
+struct PlannedFrame {
   Opcode Op = Opcode::Hello;
   uint32_t FrameSeq = 0;
-  uint64_t EventCount = 0;
+  /// Events: the recorded trace's events [First, First + Events).
+  uint64_t First = 0;
+  /// Events: frame size in events. Shed: events dropped. End: total
+  /// events streamed.
+  uint64_t Events = 0;
+  /// Shed: wire frames the marker stands in for, and the epoch shed.
+  uint32_t ShedSpan = 0;
+  uint32_t ShedEpoch = 0;
+  /// In-flight faults (fault::FaultPlan, keyed on FrameSeq).
+  bool Truncate = false;
+  bool Corrupt = false;
+};
+
+/// The serve stages timed per session (serve.stage.* timers).
+enum Stage { Produce, Encode, Stream, Detect, StageCount };
+
+/// Charges a session's wall time to one Stage at a time: switchTo adds
+/// the time since the last switch to the stage being left, so nested
+/// work (encoding inside an attempt) is never counted twice. Reads no
+/// clock when metrics are off.
+class StageClock {
+public:
+  explicit StageClock(bool On) : On(On) {}
+
+  void switchTo(Stage Next) {
+    if (!On)
+      return;
+    Clock::time_point Now = Clock::now();
+    if (Cur != StageCount)
+      Ns[Cur] += static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(Now - Since)
+              .count());
+    Cur = Next;
+    Since = Now;
+  }
+  void stop() { switchTo(StageCount); }
+
+  std::array<uint64_t, StageCount> Ns{};
+
+private:
+  using Clock = std::chrono::steady_clock;
+  bool On;
+  Stage Cur = StageCount;
+  Clock::time_point Since;
 };
 
 /// Everything one session carries through the daemon.
@@ -199,11 +243,14 @@ struct SessionState {
   const SessionInput *In = nullptr;
   SessionReport R;
   std::optional<fault::FaultPlan> Plan;
-  /// The recorded execution (null if the producer crashed).
+  /// The recorded execution (null if the producer crashed, and again
+  /// once the session's verdict is in).
   std::optional<trace::ProgramTrace> Trace;
-  /// The full wire stream, generated once; shedding splices it.
-  std::vector<WireEntry> Wire;
+  /// The wire plan, built once; shedding splices it.
+  std::vector<PlannedFrame> Wire;
   bool ProducerCrashed = false;
+  /// Wall time per Stage, summed over the session's attempts.
+  StageClock Stages{false};
 };
 
 /// Runs the workload under the VM and pre-records the session's trace
@@ -231,41 +278,31 @@ void produceTrace(SessionState &S) {
   S.R.EventsStreamed = S.Trace->size();
 }
 
-/// Builds the session's wire stream: Hello, Events frames, End — then
-/// applies the plan's in-flight faults (truncate/corrupt/duplicate/
-/// reorder) as pure per-position decisions.
+/// Plans the session's wire stream: Hello, Events frames, End — with
+/// the plan's in-flight faults (truncate/corrupt/duplicate/reorder) as
+/// pure per-position decisions. No frame is encoded here.
 void buildWire(SessionState &S, const ServeConfig &Cfg) {
-  const FrameCodec Codec(S.In->Work->Program, S.In->SessionId);
   const trace::ProgramTrace &T = *S.Trace;
   const fault::FaultPlan *Plan =
       S.Plan && S.Plan->perturbsFrames() ? &*S.Plan : nullptr;
 
-  std::vector<WireEntry> Logical;
-  Logical.push_back({Codec.encodeHello(), Opcode::Hello, 0, 0});
+  S.Wire.clear();
+  auto Add = [&](PlannedFrame F) {
+    if (Plan) {
+      F.Truncate = Plan->truncateFrame(F.FrameSeq);
+      F.Corrupt = !F.Truncate && Plan->corruptFrame(F.FrameSeq);
+    }
+    S.Wire.push_back(F);
+    if (Plan && Plan->duplicateFrame(F.FrameSeq))
+      S.Wire.push_back(F);
+  };
+  Add({Opcode::Hello, 0});
   uint32_t Seq = 1;
   size_t Per = std::min<size_t>(std::max<uint32_t>(Cfg.EventsPerFrame, 1),
                                 FrameCodec::MaxEventsPerFrame);
-  for (size_t I = 0; I < T.size(); I += Per, ++Seq) {
-    size_t N = std::min(Per, T.size() - I);
-    Logical.push_back({Codec.encodeEvents(&T.events()[I], N, Seq),
-                       Opcode::Events, Seq, N});
-  }
-  Logical.push_back({Codec.encodeEnd(Seq, T.size()), Opcode::End, Seq, 0});
-
-  S.Wire.clear();
-  S.Wire.reserve(Logical.size());
-  for (WireEntry &E : Logical) {
-    if (Plan) {
-      if (Plan->truncateFrame(E.FrameSeq))
-        E.Bytes.resize(Plan->truncatedFrameSize(E.Bytes.size(), E.FrameSeq));
-      else if (Plan->corruptFrame(E.FrameSeq))
-        Plan->mangleFrameBytes(E.Bytes, E.FrameSeq);
-    }
-    bool Dup = Plan && Plan->duplicateFrame(E.FrameSeq);
-    S.Wire.push_back(std::move(E));
-    if (Dup)
-      S.Wire.push_back(S.Wire.back());
-  }
+  for (size_t I = 0; I < T.size(); I += Per, ++Seq)
+    Add({Opcode::Events, Seq, I, std::min(Per, T.size() - I)});
+  Add({Opcode::End, Seq, 0, T.size()});
   if (Plan) {
     // Adjacent swaps keyed on wire position; a swapped pair is skipped
     // so swap chains never overlap (the resequencer's one-frame hold
@@ -277,6 +314,31 @@ void buildWire(SessionState &S, const ServeConfig &Cfg) {
       }
   }
   S.R.FramesSent = S.Wire.size();
+}
+
+/// Encodes planned frame \p F of trace \p T into \p Out and applies its
+/// in-flight fault from \p Plan.
+void encodeFrame(const FrameCodec &Codec, const PlannedFrame &F,
+                 const trace::ProgramTrace &T, const fault::FaultPlan *Plan,
+                 std::vector<uint8_t> &Out) {
+  switch (F.Op) {
+  case Opcode::Hello:
+    Codec.encodeHello(Out);
+    break;
+  case Opcode::Events:
+    Codec.encodeEvents(&T.events()[F.First], F.Events, F.FrameSeq, Out);
+    break;
+  case Opcode::Shed:
+    Codec.encodeShed(F.FrameSeq, F.ShedSpan, F.ShedEpoch, F.Events, Out);
+    break;
+  case Opcode::End:
+    Codec.encodeEnd(F.FrameSeq, F.Events, Out);
+    break;
+  }
+  if (F.Truncate)
+    Out.resize(Plan->truncatedFrameSize(Out.size(), F.FrameSeq));
+  else if (F.Corrupt)
+    Plan->mangleFrameBytes(Out, F.FrameSeq);
 }
 
 /// Consumer-side stream assembly: resequencing, duplicate drop, gap
@@ -398,6 +460,11 @@ void runAttempt(SessionState &S, const ServeConfig &Cfg, uint32_t Attempt,
   while (RingCap < Cfg.RingCapacity)
     RingCap <<= 1;
   SpscRing<std::vector<uint8_t>> Ring(RingCap);
+  // Frame buffers the consumer has handed back; the producer encodes
+  // into these, so an attempt allocates about one buffer per ring slot.
+  std::vector<std::vector<uint8_t>> Spare;
+  std::vector<uint8_t> Frame;
+  DecodedFrame Decoded;
   support::Xoshiro256 Jitter(Cfg.ServeSeed ^
                              (0x9e3779b97f4a7c15ULL *
                               (S.In->SessionId + 1)));
@@ -427,7 +494,7 @@ void runAttempt(SessionState &S, const ServeConfig &Cfg, uint32_t Attempt,
     size_t E = B;
     while (E < S.Wire.size() && S.Wire[E].Op == Opcode::Events &&
            S.Wire[E].FrameSeq / EpochFrames == Epoch) {
-      Unique[S.Wire[E].FrameSeq] = S.Wire[E].EventCount;
+      Unique[S.Wire[E].FrameSeq] = S.Wire[E].Events;
       ++E;
     }
     uint32_t MinSeq = Unique.begin()->first;
@@ -436,10 +503,9 @@ void runAttempt(SessionState &S, const ServeConfig &Cfg, uint32_t Attempt,
     for (const auto &[Seq, N] : Unique)
       Dropped += N;
     uint32_t Span = MaxSeq - MinSeq + 1;
-    WireEntry Marker{Codec.encodeShed(MinSeq, Span, Epoch, Dropped),
-                     Opcode::Shed, MinSeq, 0};
+    PlannedFrame Marker{Opcode::Shed, MinSeq, 0, Dropped, Span, Epoch};
     S.Wire.erase(S.Wire.begin() + B, S.Wire.begin() + E);
-    S.Wire.insert(S.Wire.begin() + B, std::move(Marker));
+    S.Wire.insert(S.Wire.begin() + B, Marker);
     R.FramesShed += Span;
     R.EventsShed += Dropped;
     A.Ledger.recordEviction();
@@ -456,11 +522,18 @@ void runAttempt(SessionState &S, const ServeConfig &Cfg, uint32_t Attempt,
     // Producer phase: push frames unless backing off.
     if (Tick >= BackoffUntil) {
       for (uint32_t P = 0; P < PushPerTick && Cursor < S.Wire.size(); ++P) {
-        // The wire keeps its bytes (a re-admission replays it from
-        // the start), so the ring gets a copy, made only when there is
-        // room for it rather than thrown away on WouldBlock.
-        if (!Ring.full() &&
-            Ring.tryPush(std::vector<uint8_t>(S.Wire[Cursor].Bytes))) {
+        // The frame is encoded only once the ring has room for it, so
+        // a WouldBlock attempt encodes nothing and the push succeeds.
+        if (!Ring.full()) {
+          std::vector<uint8_t> Bytes;
+          if (!Spare.empty()) {
+            Bytes = std::move(Spare.back());
+            Spare.pop_back();
+          }
+          S.Stages.switchTo(Encode);
+          encodeFrame(Codec, S.Wire[Cursor], *S.Trace, Plan, Bytes);
+          S.Stages.switchTo(Stream);
+          Ring.tryPush(std::move(Bytes));
           ++Cursor;
           ConsecutiveBlocks = 0;
           BackoffExp = 0;
@@ -491,7 +564,6 @@ void runAttempt(SessionState &S, const ServeConfig &Cfg, uint32_t Attempt,
       continue;
     }
     for (uint32_t D = 0; D < DrainPerTick; ++D) {
-      std::vector<uint8_t> Frame;
       if (!Ring.tryPop(Frame))
         break;
       uint64_t Pos = DeliveredPos++;
@@ -502,13 +574,15 @@ void runAttempt(SessionState &S, const ServeConfig &Cfg, uint32_t Attempt,
             static_cast<unsigned long long>(Pos), Attempt));
       if (Plan && Plan->stallFrame(Pos))
         ConsumerStall += Plan->frameStallTicks();
-      if (Poisoned)
+      if (Poisoned) {
+        Spare.push_back(std::move(Frame));
         continue; // drain-and-drop; the stream is already untrusted
-      DecodedFrame Decoded;
+      }
       // Intra-frame validation happens here (MinSeq 0); cross-frame
       // order is enforced at ingest time, after duplicate frames have
       // been dropped (a duplicate legitimately replays old sequences).
       DecodeResult DR = Codec.decode(Frame, /*MinSeq=*/0, Decoded);
+      Spare.push_back(std::move(Frame)); // decoded: hand the bytes back
       if (!DR.Ok) {
         ++R.FramesRejected;
         ++R.Rejects[static_cast<size_t>(DR.Why)];
@@ -561,10 +635,14 @@ void runSession(SessionState &S, const ServeConfig &Cfg,
                 shadow::Table<uint8_t> &Seen) {
   SessionReport &R = S.R;
   try {
+    S.Stages.switchTo(Produce);
     produceTrace(S);
     if (S.ProducerCrashed)
       return;
     buildWire(S, Cfg);
+    // Stream: the ring, decode, reassembly and quarantine handling of
+    // every attempt; only encoding on push is charged to Encode.
+    S.Stages.switchTo(Stream);
 
     // Consumer-side stream accounting is scoped to the attempt that
     // finally drains the wire: an aborted admission's partial counts
@@ -644,6 +722,9 @@ void runSession(SessionState &S, const ServeConfig &Cfg,
       // session is contained, counted, and reported without analysis.
       return;
     }
+    // The wire is drained; detection reads only the reassembled trace.
+    S.Trace.reset();
+    S.Stages.switchTo(Detect);
     finishDetection(*S.In->Work, A->Trace, R);
     resolveOutcome(R, A->HelloSeen, A->EndSeen, A->EndTotal);
   } catch (const std::exception &E) {
@@ -694,6 +775,7 @@ ServeReport serve::runServe(const std::vector<SessionInput> &Sessions,
     S.R.SessionId = Sessions[I].SessionId;
     S.R.Workload = Sessions[I].Work->Name;
     S.R.Seed = Sessions[I].Seed;
+    S.Stages = StageClock(Cfg.Obs != nullptr);
     if (Cfg.FaultCfg)
       S.Plan.emplace(*Cfg.FaultCfg, Sessions[I].Seed);
   }
@@ -718,6 +800,11 @@ ServeReport serve::runServe(const std::vector<SessionInput> &Sessions,
         SessionState &S = States[Idx];
         S.R.Shard = K;
         runSession(S, Cfg, Seen);
+        S.Stages.stop();
+        // The verdict is in: free the session's trace and wire plan now
+        // rather than holding every session's until the batch returns.
+        S.Trace.reset();
+        S.Wire = {};
         SR.Sessions.push_back(S.R.SessionId);
         SR.FramesDelivered += S.R.FramesDelivered;
         SR.EventsIngested += S.R.EventsIngested;
@@ -788,6 +875,14 @@ ServeReport serve::runServe(const std::vector<SessionInput> &Sessions,
                       rejectName(static_cast<Reject>(W)))
               .add(R.Rejects[W]);
     }
+    // Per-session stage wall times: timing-only, so they go to the
+    // registry's timers and never into a ServeReport.
+    static const char *StageKeys[StageCount] = {
+        "serve.stage.produce", "serve.stage.encode", "serve.stage.stream",
+        "serve.stage.detect"};
+    for (const SessionState &S : States)
+      for (size_t K = 0; K < StageCount; ++K)
+        Reg.timer(StageKeys[K]).recordNs(S.Stages.Ns[K]);
     for (const ShardReport &SR : Report.Shards) {
       Reg.counter(support::formatString("shadow.shard%u.pages", SR.ShardId))
           .add(SR.ShadowPages);

@@ -31,6 +31,14 @@
 ///     fault-free sessions match the batch pipeline exactly
 ///     (batchSessionReport).
 ///
+/// A session's wire is a plan of frames, not bytes: each frame is
+/// encoded from the recorded trace when the producer pushes it, into a
+/// buffer the consumer hands back after decoding, and the in-flight
+/// faults are applied to those bytes on the way. Shedding splices the
+/// plan; a quarantine re-admission re-encodes it from frame 0. A
+/// session's trace and plan are freed as soon as its verdict is in.
+/// Per-session stage wall times go to the serve.stage.* timers.
+///
 /// The module deliberately does not depend on src/harness: callers
 /// (tools/svd_serve.cpp, the "serve" bench suite) derive each
 /// session's vm::MachineConfig via harness::machineConfigFor and pass

@@ -40,6 +40,10 @@ TEST(ObsSchema, AcceptsDocumentedKeys) {
   EXPECT_TRUE(obs::isDocumentedKey("fault.preemptions"));
   EXPECT_TRUE(obs::isDocumentedKey("runner.total"));
   EXPECT_TRUE(obs::isDocumentedKey("harness.sample.detector_run"));
+  EXPECT_TRUE(obs::isDocumentedKey("serve.stage.produce"));
+  EXPECT_TRUE(obs::isDocumentedKey("serve.stage.encode"));
+  EXPECT_TRUE(obs::isDocumentedKey("serve.stage.stream"));
+  EXPECT_TRUE(obs::isDocumentedKey("serve.stage.detect"));
 }
 
 TEST(ObsSchema, RejectsUndocumentedKeys) {
@@ -53,6 +57,7 @@ TEST(ObsSchema, RejectsUndocumentedKeys) {
   EXPECT_FALSE(obs::isDocumentedKey("shadow.svd.bogus"));
   EXPECT_FALSE(obs::isDocumentedKey("shadow..pages"));
   EXPECT_FALSE(obs::isDocumentedKey("fault.bogus"));
+  EXPECT_FALSE(obs::isDocumentedKey("serve.stage.bogus"));
 }
 
 TEST(ObsSchema, EveryExportedInstrumentIsDocumented) {

@@ -3,8 +3,9 @@
 # (every serve robustness invariant holds), validates the --report and
 # --metrics-json files with svd-json-check, requires stdout (--json) to
 # be byte-identical to the report file — one emitter, two sinks — and
-# requires the metrics dump to carry the serve.* counter schema plus a
-# per-shard shadow.shard<k>.bytes footprint line. Invoke with:
+# requires the metrics dump to carry the serve.* counter schema, a
+# per-shard shadow.shard<k>.bytes footprint line and the
+# serve.stage.* timers. Invoke with:
 #
 #   cmake -DSERVE=<svd-serve> -DCHECK=<svd-json-check> -DOUTDIR=<scratch>
 #         -P ServeCheck.cmake
@@ -44,9 +45,10 @@ endif()
 
 file(READ "${METRICS}" METRICS_DOC)
 foreach(KEY "serve.sessions" "serve.frames_delivered" "serve.rejects."
-        "shadow.shard0.bytes" "shadow.shard0.pages")
+        "shadow.shard0.bytes" "shadow.shard0.pages" "serve.stage.produce"
+        "serve.stage.encode" "serve.stage.stream" "serve.stage.detect")
   string(FIND "${METRICS_DOC}" "\"${KEY}" AT)
   if(AT EQUAL -1)
-    message(FATAL_ERROR "metrics dump is missing the '${KEY}' counter")
+    message(FATAL_ERROR "metrics dump is missing the '${KEY}' instrument")
   endif()
 endforeach()

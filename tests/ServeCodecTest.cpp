@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstring>
 
@@ -59,16 +60,48 @@ isa::Program otherProgram() {
 )");
 }
 
-/// Test-side twin of the wire checksum (FNV-1a 32 over header bytes
-/// 0..15 then the payload), so header-mutation tests can re-seal a
-/// frame and reach the post-checksum validation stages.
+/// CRC32C one bit at a time — the test-side twin of both production
+/// paths (serve::crc32cTable, serve::crc32cHardware), sharing no code
+/// with either.
+uint32_t bitwiseCrc32c(uint32_t Crc, const uint8_t *Data, size_t Size) {
+  uint32_t C = ~Crc;
+  for (size_t I = 0; I < Size; ++I) {
+    C ^= Data[I];
+    for (int K = 0; K < 8; ++K)
+      C = (C >> 1) ^ (0x82F63B78u & (0u - (C & 1)));
+  }
+  return ~C;
+}
+
+/// Test-side twin of the wire checksum (CRC32C over header bytes 0..15
+/// then the payload), so header-mutation tests can re-seal a frame and
+/// reach the post-checksum validation stages.
 uint32_t wireChecksum(const std::vector<uint8_t> &B) {
-  uint32_t H = 0x811c9dc5u;
-  for (size_t I = 0; I < 16 && I < B.size(); ++I)
-    H = (H ^ B[I]) * 0x01000193u;
-  for (size_t I = FrameCodec::HeaderBytes; I < B.size(); ++I)
-    H = (H ^ B[I]) * 0x01000193u;
-  return H;
+  uint32_t C = bitwiseCrc32c(0, B.data(), std::min<size_t>(B.size(), 16));
+  if (B.size() > FrameCodec::HeaderBytes)
+    C = bitwiseCrc32c(C, B.data() + FrameCodec::HeaderBytes,
+                      B.size() - FrameCodec::HeaderBytes);
+  return C;
+}
+
+/// A full-size Events frame of testProgram: 256 decodable events whose
+/// every field varies (Alu and Branch events, so the decoder does not
+/// range-check the address and mutex fields).
+std::vector<uint8_t> fullEventsFrame(const FrameCodec &C) {
+  std::vector<trace::TraceEvent> Events(256);
+  for (size_t I = 0; I < Events.size(); ++I) {
+    trace::TraceEvent &E = Events[I];
+    E.Seq = 1000 + I;
+    E.Tid = static_cast<uint32_t>(I % 2);
+    E.Pc = static_cast<uint32_t>(I % 7);
+    E.Kind = I % 3 ? trace::EventKind::Alu : trace::EventKind::Branch;
+    E.Address = static_cast<uint32_t>(I * 2654435761u);
+    E.Value = static_cast<isa::Word>(I * 0x9e3779b97f4a7c15ULL);
+    E.Taken = I % 5 == 0;
+    E.Target = static_cast<uint32_t>(I % 11);
+    E.MutexId = static_cast<uint32_t>(I % 13);
+  }
+  return C.encodeEvents(Events.data(), Events.size(), 1);
 }
 
 void reseal(std::vector<uint8_t> &B) {
@@ -175,9 +208,9 @@ TEST(ServeCodec, EventsFrameBytesAreStable) {
   Events[1].Target = 7;
   const std::vector<uint8_t> Want = {
       // header: magic, version, opcode, session, frameseq, payload_len,
-      // checksum (FNV-1a)
-      0x53, 0x56, 0x01, 0x02, 0xd4, 0xc3, 0xb2, 0xa1, 0x04, 0x03, 0x02,
-      0x01, 0x4c, 0x00, 0x00, 0x00, 0x7b, 0x56, 0x7a, 0xcb,
+      // checksum (CRC32C)
+      0x53, 0x56, 0x02, 0x02, 0xd4, 0xc3, 0xb2, 0xa1, 0x04, 0x03, 0x02,
+      0x01, 0x4c, 0x00, 0x00, 0x00, 0x31, 0x83, 0x41, 0x4f,
       // event 0: seq, tid, pc, kind, addr, value, taken, target, mutex
       0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
       0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xfe,
@@ -190,6 +223,7 @@ TEST(ServeCodec, EventsFrameBytesAreStable) {
       0x00, 0x00, 0x00, 0x00, 0x00,
   };
   EXPECT_EQ(C.encodeEvents(Events, 2, 0x01020304u), Want);
+  EXPECT_EQ(wireChecksum(Want), 0x4f418331u);
   DecodedFrame Out;
   DecodeResult R = C.decode(Want, 0, Out);
   ASSERT_TRUE(R.Ok) << R.Detail;
@@ -233,6 +267,112 @@ TEST(ServeCodec, DecodeIsDeterministic) {
   EXPECT_EQ(R1.Ok, R2.Ok);
   EXPECT_EQ(R1.Why, R2.Why);
   EXPECT_EQ(R1.Detail, R2.Detail);
+}
+
+TEST(ServeCodec, DecodeReusesEventsCapacity) {
+  isa::Program P = testProgram();
+  FrameCodec C(P, 7);
+  std::vector<uint8_t> Big = fullEventsFrame(C);
+  DecodedFrame Out;
+  ASSERT_TRUE(C.decode(Big, 0, Out).Ok);
+  ASSERT_EQ(Out.Events.size(), 256u);
+  const trace::TraceEvent *Storage = Out.Events.data();
+  // A smaller frame, then a full one again: the batch stays in place.
+  ASSERT_TRUE(C.decode(C.encodeEnd(2, 256), 0, Out).Ok);
+  EXPECT_TRUE(Out.Events.empty());
+  EXPECT_EQ(Out.EndTotalEvents, 256u);
+  ASSERT_TRUE(C.decode(Big, 0, Out).Ok);
+  EXPECT_EQ(Out.Events.data(), Storage);
+  EXPECT_EQ(Out.EndTotalEvents, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// The frame checksum: CRC32C known answers, the table and instruction
+// paths against a bitwise twin, and the burst-detection guarantee.
+//===----------------------------------------------------------------------===//
+
+TEST(ServeCodec, Crc32cKnownAnswers) {
+  const uint8_t *Check = reinterpret_cast<const uint8_t *>("123456789");
+  const std::vector<uint8_t> Zeros(32, 0x00), Ones(32, 0xff);
+  using Fn = uint32_t (*)(uint32_t, const uint8_t *, size_t);
+  std::vector<std::pair<const char *, Fn>> Paths = {
+      {"dispatch", crc32c}, {"table", crc32cTable}, {"bitwise", bitwiseCrc32c}};
+  if (crc32cHardwareAvailable())
+    Paths.push_back({"instruction", crc32cHardware});
+  for (const auto &[Name, F] : Paths) {
+    EXPECT_EQ(F(0, Check, 9), 0xE3069283u) << Name;
+    // Continuing over a split gives the one-shot value.
+    EXPECT_EQ(F(F(0, Check, 4), Check + 4, 5), 0xE3069283u) << Name;
+    // The empty input leaves any running value as it is.
+    EXPECT_EQ(F(0, Check, 0), 0u) << Name;
+    EXPECT_EQ(F(0xE3069283u, nullptr, 0), 0xE3069283u) << Name;
+    // RFC 3720 (iSCSI) B.4 vectors.
+    EXPECT_EQ(F(0, Zeros.data(), Zeros.size()), 0x8A9136AAu) << Name;
+    EXPECT_EQ(F(0, Ones.data(), Ones.size()), 0x62A8AB43u) << Name;
+  }
+}
+
+/// Compares \p F with the bitwise twin on every length 0..64 at every
+/// start offset mod 8, and on a full 256-event frame.
+void expectMatchesBitwise(uint32_t (*F)(uint32_t, const uint8_t *, size_t)) {
+  std::vector<uint8_t> Buf(64 + 8);
+  for (size_t I = 0; I < Buf.size(); ++I)
+    Buf[I] = static_cast<uint8_t>(I * 151 + 7);
+  for (size_t Off = 0; Off < 8; ++Off)
+    for (size_t Len = 0; Len <= 64; ++Len)
+      EXPECT_EQ(F(0x12345678u, Buf.data() + Off, Len),
+                bitwiseCrc32c(0x12345678u, Buf.data() + Off, Len))
+          << "offset " << Off << " length " << Len;
+  isa::Program P = testProgram();
+  std::vector<uint8_t> Frame = fullEventsFrame(FrameCodec(P, 3));
+  ASSERT_EQ(Frame.size(), FrameCodec::HeaderBytes + 256 * FrameCodec::EventBytes);
+  EXPECT_EQ(F(0, Frame.data(), Frame.size()),
+            bitwiseCrc32c(0, Frame.data(), Frame.size()));
+}
+
+TEST(ServeCodec, Crc32cTableMatchesBitwise) { expectMatchesBitwise(crc32cTable); }
+
+TEST(ServeCodec, Crc32cInstructionMatchesBitwise) {
+  if (!crc32cHardwareAvailable())
+    GTEST_SKIP() << "this CPU has no crc32 instruction";
+  expectMatchesBitwise(crc32cHardware);
+}
+
+TEST(ServeCodec, EveryShortBurstIsABadChecksum) {
+  // CRC32C detects every error burst of up to 32 bits. Bits are
+  // numbered least significant first within each byte — the order the
+  // reflected CRC reads them — and each burst flips its first and last
+  // bit plus an interior pattern.
+  isa::Program P = testProgram();
+  trace::ProgramTrace T = recordRun(P);
+  FrameCodec C(P, 1);
+  std::vector<trace::TraceEvent> In;
+  for (size_t I = 0; I < 2; ++I)
+    In.push_back(T[I]);
+  const std::vector<uint8_t> Orig = C.encodeEvents(In.data(), In.size(), 1);
+  const size_t PayloadBits = (Orig.size() - FrameCodec::HeaderBytes) * 8;
+  size_t Bursts = 0;
+  for (size_t Len = 1; Len <= 32; ++Len) {
+    uint32_t Ends = Len == 1 ? 1u : (1u | (1u << (Len - 1)));
+    uint32_t Full = Len == 32 ? ~0u : (1u << Len) - 1;
+    for (uint32_t Mask : {Ends, Full, (0xA5C3E10Fu & Full) | Ends}) {
+      for (size_t Start = 0; Start + Len <= PayloadBits; ++Start) {
+        std::vector<uint8_t> B = Orig;
+        for (size_t K = 0; K < Len; ++K)
+          if (Mask >> K & 1) {
+            size_t Bit = FrameCodec::HeaderBytes * 8 + Start + K;
+            B[Bit / 8] ^= static_cast<uint8_t>(1u << (Bit % 8));
+          }
+        DecodedFrame Out;
+        DecodeResult R = C.decode(B, 0, Out);
+        ASSERT_FALSE(R.Ok) << "burst of " << Len << " at bit " << Start;
+        ASSERT_EQ(R.Why, Reject::BadChecksum)
+            << "burst of " << Len << " at bit " << Start;
+        ++Bursts;
+      }
+    }
+  }
+  EXPECT_GT(Bursts, 50000u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -10,6 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "harness/Harness.h"
+#include "harness/Suites.h"
 #include "obs/Obs.h"
 #include "serve/Serve.h"
 #include "workloads/Workloads.h"
@@ -234,37 +235,47 @@ TEST(Serve, DuplicateAndReorderDeliveriesHealToOk) {
 
 TEST(Serve, SustainedStallShedsExplicitlyNeverSilently) {
   Workload W = testWorkload();
-  std::vector<SessionInput> Sessions = makeSessions(W, {1, 2});
   fault::FaultPlanConfig Stall;
   Stall.Name = "stall-hard";
   Stall.PlanSeed = 0x57a11;
   Stall.FrameStallRatePerMyriad = 6000;
   Stall.FrameStallTicks = 16;
 
-  ServeConfig Cfg;
-  Cfg.RingCapacity = 2;
-  Cfg.PushPerTick = 4;
-  Cfg.ShedAfterBackoffs = 2;
-  Cfg.FaultCfg = &Stall;
+  ServeConfig Stalled;
+  Stalled.RingCapacity = 2;
+  Stalled.PushPerTick = 4;
+  Stalled.ShedAfterBackoffs = 2;
+  Stalled.FaultCfg = &Stall;
+  // No fault at all, but every WouldBlock sheds: the wire plan is
+  // spliced again and again while frames are encoded from it on push.
+  ServeConfig ShedHeavy;
+  ShedHeavy.RingCapacity = 2;
+  ShedHeavy.ShedAfterBackoffs = 1;
 
-  ServeReport Rep = runServe(Sessions, Cfg);
-  size_t ShedSessions = 0;
-  for (const SessionReport &S : Rep.Sessions) {
-    EXPECT_GT(S.StallTicks, 0u);
-    if (S.EventsShed > 0) {
-      ++ShedSessions;
-      // Shed loss is never silent: an explicit marker crossed the
-      // wire, the outcome says Shed, and the diagnostic says why.
-      EXPECT_GT(S.FramesShed, 0u);
-      EXPECT_EQ(S.Outcome, SessionOutcome::Shed);
-      EXPECT_NE(S.Diagnostic.find("shed"), std::string::npos)
-          << S.Diagnostic;
+  for (const ServeConfig *Cfg : {&Stalled, &ShedHeavy}) {
+    std::vector<SessionInput> Sessions = makeSessions(W, {1, 2, 3});
+    ServeReport Rep = runServe(Sessions, *Cfg);
+    size_t ShedSessions = 0;
+    for (const SessionReport &S : Rep.Sessions) {
+      if (Cfg->FaultCfg) {
+        EXPECT_GT(S.StallTicks, 0u);
+      }
       // Accounting closes: every streamed event was either ingested
       // or declared shed.
-      EXPECT_EQ(S.EventsIngested + S.EventsShed, S.EventsStreamed);
+      EXPECT_EQ(S.EventsIngested + S.EventsShed, S.EventsStreamed)
+          << "session " << S.SessionId;
+      if (S.EventsShed > 0) {
+        ++ShedSessions;
+        // Shed loss is never silent: an explicit marker crossed the
+        // wire, the outcome says Shed, and the diagnostic says why.
+        EXPECT_GT(S.FramesShed, 0u);
+        EXPECT_EQ(S.Outcome, SessionOutcome::Shed);
+        EXPECT_NE(S.Diagnostic.find("shed"), std::string::npos)
+            << S.Diagnostic;
+      }
     }
+    EXPECT_GT(ShedSessions, 0u);
   }
-  EXPECT_GT(ShedSessions, 0u);
 }
 
 TEST(Serve, TenantBudgetDegradesStickyAndMatchesBatch) {
@@ -294,54 +305,71 @@ TEST(Serve, TenantBudgetDegradesStickyAndMatchesBatch) {
 //===----------------------------------------------------------------------===//
 
 TEST(Serve, ShardCrashQuarantinesAndRecovers) {
-  Workload W = testWorkload();
-  std::vector<SessionInput> Sessions = makeSessions(W, {1, 2, 3, 4, 5, 6});
   // The matrix preset's rate is tuned for the long bench sessions;
   // these test sessions span only ~a dozen frames each, so a hotter
   // plan is needed for crashes (and recoveries) to land.
-  fault::FaultPlanConfig Crash;
-  Crash.Name = "crash-some";
-  Crash.PlanSeed = 0x5e46;
-  Crash.ShardCrashRatePerMyriad = 800;
-  ServeConfig Cfg;
-  Cfg.FaultCfg = &Crash;
+  Workload W = testWorkload();
+  fault::FaultPlanConfig Hot;
+  Hot.Name = "crash-some";
+  Hot.PlanSeed = 0x5e46;
+  Hot.ShardCrashRatePerMyriad = 800;
+  // The matrix preset itself, on a serve-suite session it is known to
+  // crash: each re-admission re-encodes the wire from the plan.
+  std::vector<Workload> Suite = harness::suiteWorkloads("serve");
+  ASSERT_FALSE(Suite.empty());
+  std::vector<fault::FaultPlanConfig> Plans = ingestionPlanMatrix();
+  const fault::FaultPlanConfig *Matrix = nullptr;
+  for (const fault::FaultPlanConfig &P : Plans)
+    if (P.Name == "shard-crash")
+      Matrix = &P;
+  ASSERT_NE(Matrix, nullptr);
 
-  ServeReport Rep = runServe(Sessions, Cfg);
-  size_t Quarantined = 0, Recovered = 0;
-  for (size_t I = 0; I < Rep.Sessions.size(); ++I) {
-    const SessionReport &S = Rep.Sessions[I];
-    if (S.Quarantines == 0) {
-      EXPECT_EQ(S.Outcome, SessionOutcome::Ok) << S.Diagnostic;
-      continue;
+  struct Case {
+    std::vector<SessionInput> Sessions;
+    const fault::FaultPlanConfig *Plan;
+  };
+  for (const Case &C : {Case{makeSessions(W, {1, 2, 3, 4, 5, 6}), &Hot},
+                        Case{makeSessions(Suite.front(), {1}), Matrix}}) {
+    ServeConfig Cfg;
+    Cfg.FaultCfg = C.Plan;
+    ServeReport Rep = runServe(C.Sessions, Cfg);
+    size_t Quarantined = 0, Recovered = 0;
+    for (size_t I = 0; I < Rep.Sessions.size(); ++I) {
+      const SessionReport &S = Rep.Sessions[I];
+      if (S.Quarantines == 0) {
+        EXPECT_EQ(S.Outcome, SessionOutcome::Ok) << S.Diagnostic;
+        continue;
+      }
+      ++Quarantined;
+      if (S.Outcome == SessionOutcome::Failed) {
+        EXPECT_EQ(S.Readmissions, Cfg.RetryBudget);
+        EXPECT_FALSE(S.Diagnostic.empty());
+        continue;
+      }
+      ++Recovered;
+      // A recovered session re-ingested the stream from frame zero:
+      // counters must reflect the final attempt only (no double
+      // booking), so the end-marker accounting still closes and the
+      // detection content matches the batch pipeline. (The signature
+      // itself differs by design — recovery marks the session degraded
+      // with the quarantine note, which the frame-less batch twin never
+      // carries.)
+      EXPECT_EQ(S.Outcome, SessionOutcome::Degraded) << S.Diagnostic;
+      EXPECT_NE(S.Diagnostic.find("recovered from"), std::string::npos)
+          << S.Diagnostic;
+      EXPECT_EQ(S.EventsIngested, S.EventsStreamed);
+      SessionReport B = batchSessionReport(C.Sessions[I], Cfg);
+      EXPECT_EQ(S.Steps, B.Steps);
+      EXPECT_EQ(S.DynamicReports, B.DynamicReports);
+      EXPECT_EQ(S.DynamicTrue, B.DynamicTrue);
+      EXPECT_EQ(S.DynamicFalse, B.DynamicFalse);
+      EXPECT_EQ(S.CusFormed, B.CusFormed);
+      EXPECT_EQ(S.StaticTrueKeys, B.StaticTrueKeys);
+      EXPECT_EQ(S.StaticFalseKeys, B.StaticFalseKeys);
     }
-    ++Quarantined;
-    if (S.Outcome == SessionOutcome::Failed) {
-      EXPECT_EQ(S.Readmissions, Cfg.RetryBudget);
-      EXPECT_FALSE(S.Diagnostic.empty());
-      continue;
-    }
-    ++Recovered;
-    // A recovered session re-ingested the stream from frame zero:
-    // counters must reflect the final attempt only (no double
-    // booking), so the end-marker accounting still closes and the
-    // detection content matches the batch pipeline. (The signature
-    // itself differs by design — recovery marks the session degraded
-    // with the quarantine note, which the frame-less batch twin never
-    // carries.)
-    EXPECT_EQ(S.Outcome, SessionOutcome::Degraded) << S.Diagnostic;
-    EXPECT_NE(S.Diagnostic.find("recovered from"), std::string::npos)
-        << S.Diagnostic;
-    EXPECT_EQ(S.EventsIngested, S.EventsStreamed);
-    SessionReport B = batchSessionReport(Sessions[I], Cfg);
-    EXPECT_EQ(S.Steps, B.Steps);
-    EXPECT_EQ(S.DynamicReports, B.DynamicReports);
-    EXPECT_EQ(S.DynamicTrue, B.DynamicTrue);
-    EXPECT_EQ(S.CusFormed, B.CusFormed);
-    EXPECT_EQ(S.StaticTrueKeys, B.StaticTrueKeys);
-    EXPECT_EQ(S.StaticFalseKeys, B.StaticFalseKeys);
+    EXPECT_GT(Quarantined, 0u) << C.Plan->Name;
+    EXPECT_GT(Recovered, 0u) << C.Plan->Name;
   }
-  EXPECT_GT(Quarantined, 0u);
-  EXPECT_GT(Recovered, 0u);
 }
 
 TEST(Serve, ExhaustedRetryBudgetFailsTheSessionOnly) {
@@ -411,6 +439,17 @@ TEST(Serve, ExportsOnlyDocumentedKeys) {
   EXPECT_TRUE(SawReject);
   EXPECT_TRUE(SawShardShadow);
   EXPECT_EQ(Reg.counter("serve.sessions").value(), Sessions.size());
+
+  // One wall-time sample per session for each serve stage.
+  size_t Stages = 0;
+  for (const auto &[Name, Snap] : Reg.timers()) {
+    EXPECT_TRUE(obs::isDocumentedKey(Name)) << Name;
+    if (Name.rfind("serve.stage.", 0) == 0) {
+      ++Stages;
+      EXPECT_EQ(Snap.Count, Sessions.size()) << Name;
+    }
+  }
+  EXPECT_EQ(Stages, 4u);
 
   // The rendered document is still the svd-metrics-v1 shape.
   std::string J = obs::metricsJson(Reg);
